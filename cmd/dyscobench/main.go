@@ -15,10 +15,9 @@
 //
 // -dataplane runs the concurrent-engine load benchmark (wall-clock, so it
 // lives outside -exp all) and, with -dpout, writes the workers×shards
-// sweep with lookup-latency quantiles as JSON — CI archives that file as
-// BENCH_dataplane.json. The sweep includes the -raw wire-path comparison
-// (full Parse → rewrite → serialize round trip vs the zero-copy in-place
-// raw path) unless -raw=false:
+// sweep of the zero-copy raw path with lookup-latency quantiles, plus the
+// wire-path comparison against the full Parse → rewrite → serialize
+// round trip, as JSON — CI archives that file as BENCH_dataplane.json:
 //
 //	dyscobench -dataplane -dpout BENCH_dataplane.json
 package main
@@ -44,7 +43,6 @@ func main() {
 		obsout = flag.String("obsout", "", "with -short: write the metrics summary JSON to this file")
 		dp     = flag.Bool("dataplane", false, "run only the concurrent data-plane load benchmark (wall-clock)")
 		dpout  = flag.String("dpout", "", "with -dataplane: write the sweep report JSON to this file")
-		raw    = flag.Bool("raw", true, "with -dataplane: include the wire-path comparison sweep (struct round trip vs zero-copy raw)")
 	)
 	flag.Parse()
 
@@ -62,7 +60,7 @@ func main() {
 		sc = exp.FullScale()
 	}
 	if *dp {
-		os.Exit(runDataplane(sc, *seed, *dpout, *raw))
+		os.Exit(runDataplane(sc, *seed, *dpout))
 	}
 	ids := []string{*id}
 	if *id == "all" {
@@ -112,9 +110,9 @@ func runShort(seed int64, obsout string) int {
 
 // runDataplane executes the concurrent-engine load benchmark and
 // optionally persists the sweep report, returning the process exit code.
-func runDataplane(sc exp.Scale, seed int64, dpout string, raw bool) int {
+func runDataplane(sc exp.Scale, seed int64, dpout string) int {
 	start := time.Now()
-	r, rep := exp.LoadBench(sc, seed, raw)
+	r, rep := exp.LoadBench(sc, seed)
 	fmt.Print(r.String())
 	fmt.Printf("(loadbench in %.1fs wall)\n", time.Since(start).Seconds())
 	if dpout != "" && rep != nil {

@@ -20,7 +20,7 @@ type Config struct {
 	// RingSize is the per-worker SPSC ring capacity, rounded up to a
 	// power of two (default 1024).
 	RingSize int
-	// Batch is how many packets a worker pulls per ring pop (default 32).
+	// Batch is how many frames a worker pulls per ring pop (default 32).
 	Batch int
 	// DisableOptionTranslation switches off the §4.2 TCP option
 	// rewriting, exactly like core.Config.DisableOptionTranslation.
@@ -42,54 +42,38 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Verdict is the per-packet outcome of the rewrite path.
+// Verdict is the per-frame outcome of the rewrite path.
 type Verdict uint8
 
 const (
-	// Pass: no entry matched; the packet is unchanged.
+	// Pass: no entry matched; the frame is unchanged.
 	Pass Verdict = iota
-	// Rewritten: an entry matched and its Rule was applied in place.
+	// Rewritten: an entry matched and its RawRule was applied in place.
 	Rewritten
-	// Rejected: a raw frame failed ParseView validation (truncated,
+	// Rejected: the frame failed ParseView validation (truncated,
 	// malformed options, bad lengths) and was left byte-for-byte
-	// untouched. The struct path never returns this: its callers parse
-	// before feeding, so malformed frames never reach the engine.
+	// untouched.
 	Rejected
 )
 
-// Outcome records one processed packet's post-rewrite header for the
-// differential oracle (recording mode only; benchmarks leave it off).
-type Outcome struct {
-	Tuple   packet.FiveTuple
-	Seq     uint32
-	Ack     uint32
-	Window  uint16
-	TSVal   uint32 // 0 when the packet carries no timestamp option
-	TSEcr   uint32
-	Verdict Verdict
-}
-
-// worker is one run-to-completion loop: pop a batch from the own ring,
-// process each packet to completion, repeat. Counters are plain worker-
-// local fields — they are read only after Stop's WaitGroup barrier.
+// worker is one run-to-completion loop: pop a batch of frames from the
+// own ring, rewrite each to completion, repeat. Counters are plain
+// worker-local fields — they are read only after Stop's WaitGroup
+// barrier.
 type worker struct {
 	eng   *Engine
 	ring  *Ring
-	batch []item
+	batch [][]byte
 
 	processed uint64
 	rewritten uint64
 	rejected  uint64
-
-	record bool
-	out    []Outcome
 }
 
 // Engine is the concurrent rewrite engine: a shared sharded Table and a
 // pool of workers behind per-worker SPSC rings. Flows are pinned to
-// workers by hash (the RSS model), so per-flow packet order is preserved
-// end to end — the property the differential oracle's exact-match replay
-// depends on.
+// workers by hash (the RSS model), so per-flow frame order is preserved
+// end to end.
 type Engine struct {
 	cfg     Config
 	table   *Table
@@ -109,7 +93,7 @@ func New(cfg Config) *Engine {
 		e.workers[i] = &worker{
 			eng:   e,
 			ring:  NewRing(cfg.RingSize),
-			batch: make([]item, cfg.Batch),
+			batch: make([][]byte, cfg.Batch),
 		}
 	}
 	return e
@@ -119,9 +103,6 @@ func New(cfg Config) *Engine {
 // the engine's control operations, safe concurrently with processing.
 func (e *Engine) Table() *Table { return e.table }
 
-// Workers returns the worker count.
-func (e *Engine) Workers() int { return len(e.workers) }
-
 // WorkerFor returns the worker index a flow is pinned to. The hash is
 // rotated before bucketing so the worker choice stays independent of
 // the shard choice (both fold the same 64-bit hash; unrotated they
@@ -130,18 +111,6 @@ func (e *Engine) WorkerFor(ft packet.FiveTuple) int {
 	h := ft.Hash()
 	return packet.Bucket(h<<32|h>>32, len(e.workers))
 }
-
-// SetRecording switches per-worker outcome recording. Must be called
-// before Start.
-func (e *Engine) SetRecording(on bool) {
-	for _, w := range e.workers {
-		w.record = on
-	}
-}
-
-// Outcomes returns worker i's recorded outcomes, in that worker's
-// arrival order. Valid only after Stop.
-func (e *Engine) Outcomes(i int) []Outcome { return e.workers[i].out }
 
 // Start launches the worker loops.
 func (e *Engine) Start() {
@@ -156,40 +125,18 @@ func (e *Engine) Start() {
 	}
 }
 
-// Feed routes p onto its flow's worker ring, returning false when that
-// ring is full. Single-producer contract: all Feed calls must come from
-// one goroutine (use FeedWorker from multiple feeders that own disjoint
-// workers).
-func (e *Engine) Feed(p *packet.Packet) bool {
-	return e.workers[e.WorkerFor(p.Tuple)].ring.Push(p)
-}
-
-// FeedWorker pushes p directly onto worker i's ring, for feeders that
-// pre-partition traffic (one feeder per worker, the per-queue NIC
-// model). The single-producer-per-ring contract still applies.
-func (e *Engine) FeedWorker(i int, p *packet.Packet) bool {
-	return e.workers[i].ring.Push(p)
-}
-
-// FeedRaw routes a serialized frame onto its flow's worker ring for the
-// zero-copy fast path, returning false when that ring is full. The
-// worker rewrites the frame bytes in place; the caller must not touch
-// them until after Stop. Flow pinning uses the same tuple hash as Feed,
-// so a flow's raw and struct packets land on the same worker; frames
-// ParseView rejects have no tuple and go to worker 0, which re-validates
-// and counts them Rejected. Single-producer contract as Feed.
+// FeedRaw routes a serialized frame onto its flow's worker ring,
+// returning false when that ring is full. The worker rewrites the frame
+// bytes in place; the caller must not touch them until after Stop.
+// Frames ParseView rejects have no tuple and go to worker 0, which
+// re-validates and counts them Rejected. Single-producer contract: all
+// FeedRaw calls must come from one goroutine.
 func (e *Engine) FeedRaw(frame []byte) bool {
 	w := 0
 	if v, err := packet.ParseView(frame); err == nil {
 		w = e.WorkerFor(v.Tuple())
 	}
-	return e.workers[w].ring.PushRaw(frame)
-}
-
-// FeedRawWorker pushes a frame directly onto worker i's ring, the raw
-// counterpart of FeedWorker.
-func (e *Engine) FeedRawWorker(i int, frame []byte) bool {
-	return e.workers[i].ring.PushRaw(frame)
+	return e.workers[w].ring.Push(frame)
 }
 
 // Stop asks the workers to drain their rings and exit, then waits for
@@ -203,43 +150,14 @@ func (e *Engine) Stop() {
 	e.running = false
 }
 
-// ProcessInline runs the lookup+rewrite path on the caller's goroutine,
+// ProcessRawInline runs the per-frame kernel on the caller's goroutine,
 // bypassing the rings: the caller acts as its own run-to-completion
-// worker. This is the path the throughput benchmarks drive from N
-// goroutines — it measures table+kernel scalability without a feeder
-// thread in the way.
-func (e *Engine) ProcessInline(p *packet.Packet) Verdict {
-	return e.processOne(p)
-}
-
-// processOne is the shared per-packet kernel: one table lookup, then the
-// direction's side of the core.Rule rewrite, in place.
-func (e *Engine) processOne(p *packet.Packet) Verdict {
-	ent := e.table.Lookup(p.Tuple)
-	if ent == nil {
-		return Pass
-	}
-	if ent.Dir == Egress {
-		ent.ApplyEgress(p, !e.cfg.DisableOptionTranslation)
-	} else {
-		ent.ApplyIngress(p, !e.cfg.DisableOptionTranslation)
-	}
-	return Rewritten
-}
-
-// ProcessRawInline runs the zero-copy rewrite on the caller's goroutine,
-// bypassing the rings — the raw counterpart of ProcessInline and the
-// path the raw throughput benchmark drives. The frame is validated,
-// looked up, and rewritten in place; Rejected frames are untouched.
+// worker, the path the throughput benchmarks drive from N goroutines.
+// One up-front bounds validation (ParseView), one table lookup on the
+// tuple read straight from the header bytes, then the compiled RawRule
+// rewrite in place with incremental checksum folding — no allocation,
+// no parse, no serialize. Rejected frames are untouched.
 func (e *Engine) ProcessRawInline(frame []byte) Verdict {
-	return e.processRawOne(frame)
-}
-
-// processRawOne is the per-frame raw kernel: one up-front bounds
-// validation (ParseView), one table lookup on the tuple read straight
-// from the header bytes, then the compiled RawRule rewrite in place with
-// incremental checksum folding. No allocation, no parse, no serialize.
-func (e *Engine) processRawOne(frame []byte) Verdict {
 	v, err := packet.ParseView(frame)
 	if err != nil {
 		return Rejected
@@ -277,8 +195,8 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // run is the worker loop: run-to-completion batches, spin-yield when
-// idle, exit once stopped AND drained (packets fed before Stop are
-// never dropped).
+// idle, exit once stopped AND drained (frames fed before Stop are never
+// dropped).
 func (w *worker) run() {
 	defer w.eng.wg.Done()
 	for {
@@ -291,48 +209,23 @@ func (w *worker) run() {
 			continue
 		}
 		w.processed += uint64(n)
-		for _, it := range w.batch[:n] {
-			if it.raw != nil {
-				w.processRaw(it.raw)
-				continue
-			}
-			p := it.p
-			v := w.process(p)
-			if w.record {
-				o := Outcome{Tuple: p.Tuple, Seq: p.Seq, Ack: p.Ack, Window: p.Window, Verdict: v}
-				if p.Opts.TS != nil {
-					o.TSVal, o.TSEcr = p.Opts.TS.Val, p.Opts.TS.Ecr
-				}
-				w.out = append(w.out, o)
-			}
+		for _, frame := range w.batch[:n] {
+			w.processRaw(frame)
 		}
 	}
 }
 
-// process handles one packet to completion. Hot-path root: everything
-// reachable from here (Lookup, the Rule kernel) is proven alloc-free
-// and non-blocking by the lint rules; recording and counters stay in
-// run, outside the proven region.
-func (w *worker) process(p *packet.Packet) Verdict {
-	v := w.eng.processOne(p)
-	if v == Rewritten {
-		w.rewritten++
-	}
-	return v
-}
-
 // processRaw handles one raw frame to completion, in place. Hot-path
-// root like process: ParseView, the table lookup, and the RawRule
-// kernel under it are proven alloc-free and non-blocking by the lint
-// rules, and TestRawPathZeroAlloc pins the same claim dynamically.
-func (w *worker) processRaw(frame []byte) Verdict {
-	v := w.eng.processRawOne(frame)
-	switch v {
+// root: ParseView, the table lookup, and the RawRule kernel under it are
+// proven alloc-free and non-blocking by the lint rules, and
+// TestRawPathZeroAlloc pins the same claim dynamically; counters stay
+// here, outside the kernel.
+func (w *worker) processRaw(frame []byte) {
+	switch w.eng.ProcessRawInline(frame) {
 	case Rewritten:
 		w.rewritten++
 	case Rejected:
 		w.rejected++
 	case Pass:
 	}
-	return v
 }

@@ -3,19 +3,17 @@ package dataplane
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/packet"
 )
 
 // TestDataplaneLookupZeroAlloc is the dynamic counterpart of the static
-// allocfree proof over the dataplane hot-path roots (Table.Lookup and
-// worker.process): the lint hot-path coverage test in internal/core pins
-// those roots to this test by name. The reader fast path — hash, shard,
-// snapshot load, map read, epoch stamp, rule application — must allocate
-// nothing per packet.
+// allocfree proof over the table's hot-path root (Table.Lookup): the lint
+// hot-path coverage test in internal/core pins that root to this test by
+// name. The reader fast path — hash, shard, snapshot load, map read,
+// epoch stamp — must allocate nothing per lookup, hit or miss. The full
+// per-frame path is TestRawPathZeroAlloc's.
 func TestDataplaneLookupZeroAlloc(t *testing.T) {
-	eng := New(Config{Workers: 1, Shards: 64})
-	tb := eng.Table()
+	tb := NewTable(64)
 	for i := 0; i < 1000; i++ {
 		tb.Install(testTuple(i), testEntry(i))
 	}
@@ -29,23 +27,7 @@ func TestDataplaneLookupZeroAlloc(t *testing.T) {
 		t.Fatalf("Lookup(miss) allocates %.1f/op", n)
 	}
 
-	// The full per-packet worker path: lookup + rewrite in place.
-	egr := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
-	tb.Install(egr, &Entry{Dir: Egress, Rule: core.Rule{
-		To:     packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: 9, DstIP: 8, SrcPort: 7, DstPort: 6},
-		AckAdd: -12345, TSEcrAdd: -77,
-	}})
-	p := packet.NewTCP(egr, packet.FlagACK, 100, 200, make([]byte, 256))
-	p.Opts.TS = &packet.Timestamp{Val: 1, Ecr: 2}
-	w := eng.workers[0]
-	if n := testing.AllocsPerRun(1000, func() {
-		p.Tuple = egr // re-arm: process rewrites the tuple in place
-		w.process(p)
-	}); n != 0 {
-		t.Fatalf("worker.process allocates %.1f/op", n)
-	}
-
-	// Hash and Bucket, the bucketing primitives under the path.
+	// Hash and Bucket, the bucketing primitives under the lookup.
 	if n := testing.AllocsPerRun(1000, func() { _ = packet.Bucket(hit.Hash(), 64) }); n != 0 {
 		t.Fatalf("Hash+Bucket allocates %.1f/op", n)
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/packet"
 )
 
@@ -25,12 +26,18 @@ type RawDiffConfig struct {
 	// traffic. Every one must come back byte-identical and be counted
 	// Rejected.
 	Malformed int
-	// Churners/ChurnOps run a concurrent control plane over keys
-	// disjoint from every flow: no fed frame matches a churned entry,
-	// so the byte-level expectation stays deterministic while the
-	// snapshot-swap protocol still races the raw readers under -race.
+	// Churners/ChurnOps run a concurrent control plane that installs
+	// and removes versioned churnRule entries; each churner owns a
+	// disjoint subset of the churned keys.
 	Churners int
 	ChurnOps int
+	// ChurnKeys, when positive, is the count of churned keys that live
+	// traffic also addresses: frames to them are interleaved with the
+	// stable flows and race the churners by design, so each must come
+	// back untouched or rewritten by exactly one installed version
+	// (checkChurnFrame). Zero churns 64 keys per churner that no frame
+	// addresses, keeping every expected byte deterministic.
+	ChurnKeys int
 	// Engine configures the engine under test.
 	Engine Config
 }
@@ -51,6 +58,74 @@ func (c *RawDiffConfig) fillDefaults() {
 	if c.ChurnOps <= 0 {
 		c.ChurnOps = 300
 	}
+}
+
+// flowTuple is stable flow i's five-tuple.
+func flowTuple(i int) packet.FiveTuple {
+	return packet.FiveTuple{
+		Proto:   packet.ProtoTCP,
+		SrcIP:   packet.MakeAddr(10, 0, byte(i>>8), byte(i)),
+		DstIP:   packet.MakeAddr(10, 1, byte(i>>8), byte(i)),
+		SrcPort: packet.Port(40000 + i%20000),
+		DstPort: 80,
+	}
+}
+
+// stableEntry is stable flow i's rewrite, alternating directions so both
+// sides of the kernel are diffed.
+func stableEntry(i int) *Entry {
+	d := int64(i%9000) + 1
+	to := packet.FiveTuple{
+		Proto:   packet.ProtoTCP,
+		SrcIP:   packet.MakeAddr(20, 0, byte(i>>8), byte(i)),
+		DstIP:   packet.MakeAddr(20, 1, byte(i>>8), byte(i)),
+		SrcPort: packet.Port(30000 + i%20000),
+		DstPort: 8080,
+	}
+	if i%2 == 0 {
+		return &Entry{Dir: Egress, Rule: core.Rule{
+			To: to, AckAdd: -d, TSEcrAdd: -3 * d,
+			WinFrom: int8(i % 4), WinTo: int8((i + 1) % 4),
+		}}
+	}
+	return &Entry{Dir: Ingress, Rule: core.Rule{To: to, SeqAdd: d, TSAdd: 3 * d}}
+}
+
+// churnKey is churn key j's five-tuple, disjoint from every flowTuple.
+func churnKey(j int) packet.FiveTuple {
+	return packet.FiveTuple{
+		Proto:   packet.ProtoTCP,
+		SrcIP:   packet.MakeAddr(172, 16, byte(j>>8), byte(j)),
+		DstIP:   packet.MakeAddr(172, 17, byte(j>>8), byte(j)),
+		SrcPort: packet.Port(50000 + j%10000),
+		DstPort: 8081,
+	}
+}
+
+// churnVersionMax bounds churn rule versions so the version survives a
+// round trip through the port and seq fields checkChurnFrame reads it
+// back from.
+const churnVersionMax = 30000
+
+// churnRule is version v of a churn key's entry. Every field is a
+// function of (key, v), so a reader that observed a mix of two versions
+// — a torn entry — would rewrite a frame into bytes no single version
+// produces, which checkChurnFrame rejects. Immutable snapshot entries
+// make that impossible; this rule is how the oracle would catch it if
+// the protocol were broken.
+func churnRule(key packet.FiveTuple, v uint64) *Entry {
+	return &Entry{Dir: Ingress, Rule: core.Rule{
+		To:     churnTo(key, v),
+		SeqAdd: int64(v),
+		TSAdd:  3 * int64(v),
+	}}
+}
+
+// churnTo derives version v's rewrite target from the key.
+func churnTo(key packet.FiveTuple, v uint64) packet.FiveTuple {
+	to := key.Reverse()
+	to.DstPort = packet.Port(10000 + v)
+	return to
 }
 
 // rawFlowTuple is raw flow i's five-tuple: flowTuple's address plan, but
@@ -156,9 +231,12 @@ func corruptFrame(rng *rand.Rand, frame []byte) []byte {
 // path folds RFC 1624 updates into the stored checksums, so byte equality
 // is exactly the claim that incremental == full recompute on top of the
 // claim that the two kernels implement the same §3.4/§4.2 translation.
-// Corrupted frames must come back untouched and counted Rejected. Run it
-// under -race: concurrent churners swap shard snapshots while the raw
-// readers run.
+// Corrupted frames must come back untouched and counted Rejected. With
+// ChurnKeys set, frames to churned keys race concurrent Install/Remove
+// calls on those very keys and must come back untouched or rewritten by
+// one single installed version, which a torn or partially-installed
+// entry cannot produce. Run it under -race: the race detector checks the
+// snapshot-swap memory protocol while the oracle checks the bytes.
 func RunRawDiff(cfg RawDiffConfig) error {
 	cfg.fillDefaults()
 	eng := New(cfg.Engine)
@@ -175,19 +253,24 @@ func RunRawDiff(cfg RawDiffConfig) error {
 	// Build the frame sequence and its expected bytes. Each slot builds
 	// the packet once, serializes it twice: one copy is pushed through
 	// the struct pipeline now (computing the expected bytes), the other
-	// is the live buffer the engine rewrites in place.
+	// is the live buffer the engine rewrites in place. A churn frame's
+	// want is the frame as fed: its outcome is only known after the run.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var feed, want [][]byte
+	var churned []bool
 	wantRewritten, wantRejected := uint64(0), uint64(0)
+	add := func(live, w []byte, churn bool) {
+		feed = append(feed, live)
+		want = append(want, w)
+		churned = append(churned, churn)
+	}
 	addFlow := func(i, k int) {
 		p := rawFlowPacket(rng, i, k)
-		frame := p.Serialize()
-		live := append([]byte(nil), frame...)
+		live := p.Serialize()
 		if ref.Process(p) == Rewritten {
 			wantRewritten++
 		}
-		feed = append(feed, live)
-		want = append(want, p.Serialize())
+		add(live, p.Serialize(), false)
 	}
 	addMalformed := func() {
 		base := rawFlowPacket(rng, rng.Intn(cfg.Flows), rng.Intn(cfg.PacketsPerFlow))
@@ -198,8 +281,11 @@ func RunRawDiff(cfg RawDiffConfig) error {
 			panic(fmt.Sprintf("corruptFrame produced a valid frame: %x", bad))
 		}
 		wantRejected++
-		feed = append(feed, bad)
-		want = append(want, append([]byte(nil), bad...))
+		add(bad, append([]byte(nil), bad...), false)
+	}
+	addChurn := func(j int) {
+		frame := churnFrame(j)
+		add(frame, append([]byte(nil), frame...), true)
 	}
 	malformedEvery := 0
 	if cfg.Malformed > 0 {
@@ -213,27 +299,45 @@ func RunRawDiff(cfg RawDiffConfig) error {
 			if malformedEvery > 0 && slot%malformedEvery == 0 {
 				addMalformed()
 			}
+			if cfg.ChurnKeys > 0 && rng.Intn(4) == 0 {
+				addChurn(rng.Intn(cfg.ChurnKeys))
+			}
 		}
 	}
 
 	eng.Start()
 
-	// Concurrent control plane over keys disjoint from every fed frame:
-	// the churn exercises the snapshot swap against the raw readers
-	// without making any fed frame's expected bytes racy.
+	// Concurrent control plane. Each churner owns the keys congruent to
+	// its index, so per-key version order is deterministic even though
+	// cross-key interleaving is not. Without ChurnKeys the keys are ones
+	// no fed frame addresses: the churn still races the snapshot swap
+	// against the raw readers without making any expected byte racy.
+	keys := cfg.ChurnKeys
+	if keys <= 0 {
+		keys = 64 * cfg.Churners
+	}
 	var churnWG sync.WaitGroup
 	for c := 0; c < cfg.Churners; c++ {
 		churnWG.Add(1)
 		go func(c int) {
 			defer churnWG.Done()
 			crng := rand.New(rand.NewSource(cfg.Seed + 1 + int64(c)))
+			var mine []int
+			for j := c; j < keys; j += cfg.Churners {
+				mine = append(mine, j)
+			}
+			if len(mine) == 0 {
+				return // fewer keys than churners
+			}
+			ver := make(map[int]uint64, len(mine))
 			for op := 0; op < cfg.ChurnOps; op++ {
-				j := c*cfg.ChurnOps + op%64
+				j := mine[crng.Intn(len(mine))]
 				if crng.Intn(3) == 0 {
 					eng.table.Remove(churnKey(j))
 					continue
 				}
-				eng.table.Install(churnKey(j), churnRule(churnKey(j), uint64(op%churnVersionMax+1)))
+				ver[j] = ver[j]%churnVersionMax + 1
+				eng.table.Install(churnKey(j), churnRule(churnKey(j), ver[j]))
 			}
 		}(c)
 	}
@@ -248,6 +352,16 @@ func RunRawDiff(cfg RawDiffConfig) error {
 	eng.Stop()
 
 	for i := range feed {
+		if churned[i] {
+			rewritten, err := checkChurnFrame(want[i], feed[i], !cfg.Engine.DisableOptionTranslation)
+			if err != nil {
+				return fmt.Errorf("churn frame %d: %w", i, err)
+			}
+			if rewritten {
+				wantRewritten++
+			}
+			continue
+		}
 		if !bytes.Equal(feed[i], want[i]) {
 			return fmt.Errorf("frame %d diverged from struct pipeline:\n  raw    %x\n  struct %x",
 				i, feed[i], want[i])
@@ -262,4 +376,43 @@ func RunRawDiff(cfg RawDiffConfig) error {
 		return fmt.Errorf("processed %d frames, fed %d", got, wantN)
 	}
 	return nil
+}
+
+// churnFrame builds the frame fed to churn key j: TCP with timestamps,
+// so an ingress churnRule moves the seq, the TS value and the tuple.
+func churnFrame(j int) []byte {
+	p := packet.NewTCP(churnKey(j), packet.FlagACK, uint32(100000+j), uint32(200000+j), []byte{byte(j)})
+	p.Window = 512
+	p.Opts.TS = &packet.Timestamp{Val: 90000, Ecr: 91000}
+	return p.Serialize()
+}
+
+// checkChurnFrame accepts got, the engine's output for the churn frame
+// fed, if it is fed untouched (Pass) or byte-identical to Parse →
+// churnRule(key, v).ApplyIngress → Serialize for the one version v the
+// seq delta names, checksums included. Any mix of two versions — a torn
+// entry — produces bytes no single version does. It reports whether the
+// frame was rewritten.
+func checkChurnFrame(fed, got []byte, translateOptions bool) (bool, error) {
+	if bytes.Equal(got, fed) {
+		return false, nil
+	}
+	p, err := packet.Parse(fed)
+	if err != nil {
+		return false, fmt.Errorf("fed frame does not parse: %w", err)
+	}
+	gv, err := packet.ParseView(got)
+	if err != nil {
+		return false, fmt.Errorf("rewritten frame does not parse: %w (%x)", err, got)
+	}
+	dSeq := int64(packet.SeqDiff(p.Seq, gv.Seq()))
+	if dSeq < 1 || dSeq > churnVersionMax {
+		return false, fmt.Errorf("rewrite with impossible seq delta %d: %x", dSeq, got)
+	}
+	churnRule(p.Tuple, uint64(dSeq)).ApplyIngress(p, translateOptions)
+	if want := p.Serialize(); !bytes.Equal(got, want) {
+		return false, fmt.Errorf("torn entry: seq delta names version %d but the frame is not its rewrite:\n  got  %x\n  want %x",
+			dSeq, got, want)
+	}
+	return true, nil
 }

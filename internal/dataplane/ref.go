@@ -3,11 +3,12 @@ package dataplane
 import "repro/internal/packet"
 
 // Ref is the single-threaded reference implementation of the engine's
-// semantics: one plain map, the same Entry type, the same core.Rule
-// kernel, zero concurrency. The differential oracle replays identical
-// packet+control sequences through a Ref and through the concurrent
-// Engine and demands identical behavior — Ref is deliberately too simple
-// to be wrong, which is what makes the comparison evidence.
+// semantics: one plain map, the same Entry type, the core.Rule kernel the
+// engine's RawRule is compiled from, zero concurrency. The differential
+// oracle replays identical frame+control sequences through a Ref and
+// through the concurrent Engine and demands identical bytes — Ref is
+// deliberately too simple to be wrong, which is what makes the
+// comparison evidence.
 type Ref struct {
 	entries                  map[packet.FiveTuple]*Entry
 	disableOptionTranslation bool
@@ -40,7 +41,8 @@ func (r *Ref) Remove(ft packet.FiveTuple) bool {
 // Len returns the installed entry count.
 func (r *Ref) Len() int { return len(r.entries) }
 
-// Process rewrites p in place exactly as Engine.ProcessInline would.
+// Process rewrites p in place exactly as Engine.ProcessRawInline
+// rewrites p's serialized frame.
 func (r *Ref) Process(p *packet.Packet) Verdict {
 	r.Processed++
 	e := r.entries[p.Tuple]

@@ -161,7 +161,7 @@ func Run(id string, sc Scale, seed int64) (*Result, error) {
 		r, _ := ObsBench(seed)
 		return r, nil
 	case "loadbench":
-		r, _ := LoadBench(sc, seed, true)
+		r, _ := LoadBench(sc, seed)
 		return r, nil
 	default:
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, All())

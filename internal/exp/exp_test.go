@@ -94,7 +94,7 @@ func TestAllListsEveryExperiment(t *testing.T) {
 // hosts with fewer than 4 CPUs (the 1-CPU case cannot show parallel
 // speedup by construction).
 func TestLoadBenchSmoke(t *testing.T) {
-	r, rep := exp.LoadBench(tinyScale(), 42, true)
+	r, rep := exp.LoadBench(tinyScale(), 42)
 	if rep == nil || len(rep.Rows) == 0 {
 		t.Fatal("no sweep rows")
 	}

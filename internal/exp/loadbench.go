@@ -18,11 +18,10 @@ import (
 
 // DataplaneRow is one cell of the workers×shards throughput sweep.
 type DataplaneRow struct {
-	// Path names what each op costs: "struct" is the in-memory kernel
-	// (ProcessInline on a pre-parsed packet), "wire-struct" the full
-	// frame round trip (Parse → ProcessInline → AppendTo), and
-	// "wire-raw" the zero-copy fast path (ProcessRawInline rewriting
-	// the frame bytes in place).
+	// Path names what each op costs: "wire-raw" is the zero-copy fast
+	// path (ProcessRawInline rewriting the frame bytes in place) and
+	// "wire-struct" the frame round-trip baseline (Parse → Table.Lookup
+	// → Entry.Apply* → AppendTo).
 	Path    string `json:"path"`
 	Workers int    `json:"workers"`
 	Shards  int    `json:"shards"`
@@ -44,15 +43,12 @@ type DataplaneRow struct {
 // parallel speedup no matter how good the engine is) and the metrics
 // registry holding the lookup-latency and shard-occupancy histograms.
 type DataplaneReport struct {
-	GOMAXPROCS   int `json:"gomaxprocs"`
-	NumCPU       int `json:"numcpu"`
-	Entries      int `json:"entries"`
-	OpsPerWorker int `json:"ops_per_worker"`
-	// WireOpsPerWorker is the (smaller) op count of the wire-path cells:
-	// each op there moves whole frames, not pre-parsed structs.
-	WireOpsPerWorker int            `json:"wire_ops_per_worker"`
-	Rows             []DataplaneRow `json:"rows"`
-	Metrics          *obs.Metrics   `json:"metrics"`
+	GOMAXPROCS   int            `json:"gomaxprocs"`
+	NumCPU       int            `json:"numcpu"`
+	Entries      int            `json:"entries"`
+	OpsPerWorker int            `json:"ops_per_worker"`
+	Rows         []DataplaneRow `json:"rows"`
+	Metrics      *obs.Metrics   `json:"metrics"`
 }
 
 // loadTuple is installed flow i's five-tuple in the load benchmark.
@@ -79,23 +75,23 @@ func loadEntry(i int) *dataplane.Entry {
 	return &dataplane.Entry{Dir: dataplane.Ingress, Rule: core.Rule{To: to, SeqAdd: d, TSAdd: 3 * d}}
 }
 
-// LoadBench sweeps the concurrent engine's ProcessInline path over
-// workers×shards, measuring aggregate rewrite throughput (every driver
-// goroutine acts as one run-to-completion worker, the access pattern the
-// per-core loops have without a feeder in the way) and single-threaded
-// lookup latency quantiles per shard count. Unlike every other experiment
-// in this package it runs in wall-clock time, which is why it is not in
-// All(): its numbers mean nothing at virtual-time determinism and
-// everything on real cores.
+// LoadBench sweeps the concurrent engine's raw path (ProcessRawInline)
+// over workers×shards, measuring aggregate rewrite throughput (every
+// driver goroutine acts as one run-to-completion worker, the access
+// pattern the per-core loops have without a feeder in the way) and
+// single-threaded lookup latency quantiles per shard count, then
+// compares the raw path against the struct round trip at matching
+// workers. Unlike every other experiment in this package it runs in
+// wall-clock time, which is why it is not in All(): its numbers mean
+// nothing at virtual-time determinism and everything on real cores.
 //
 // The scaling check (>2× throughput from 1 worker to the widest
-// non-oversubscribed sweep point at fixed shards) and the wire sweep's
-// raw-vs-struct gate are only enforced when GOMAXPROCS grants at least 4
-// cores; on smaller machines they are recorded as skipped, and CI —
-// which pins 4 vCPUs — enforces them. Cells with more workers than
-// GOMAXPROCS are still measured but marked oversubscribed and excluded
-// from every gate.
-func LoadBench(sc Scale, seed int64, raw bool) (*Result, *DataplaneReport) {
+// non-oversubscribed sweep point at fixed shards) and the raw-vs-struct
+// gate are only enforced when GOMAXPROCS grants at least 4 cores; on
+// smaller machines they are recorded as skipped, and CI — which pins 4
+// vCPUs — enforces them. Cells with more workers than GOMAXPROCS are
+// still measured but marked oversubscribed and excluded from every gate.
+func LoadBench(sc Scale, seed int64) (*Result, *DataplaneReport) {
 	r := &Result{Name: "loadbench", Title: "Concurrent data plane: rewrite throughput and lookup latency"}
 	rep := &DataplaneReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -114,7 +110,7 @@ func LoadBench(sc Scale, seed int64, raw bool) (*Result, *DataplaneReport) {
 	}
 	shardSweep := []int{1, 16, 64}
 
-	rep.OpsPerWorker = 1 << 18
+	rep.OpsPerWorker = 1 << 17
 	if sc.Time > 1 {
 		rep.OpsPerWorker /= sc.Time
 	}
@@ -122,20 +118,19 @@ func LoadBench(sc Scale, seed int64, raw bool) (*Result, *DataplaneReport) {
 		sc.Label, rep.OpsPerWorker, rep.Entries, rep.GOMAXPROCS, rep.NumCPU)
 
 	lookupHist := rep.Metrics.Histogram(obs.MDataplaneLookup, obs.DataplaneLookupBounds()...)
-	// throughput keyed by (workers, shards) for the scaling checks.
-	pps := map[[2]int]float64{}
+	// raw-path rows keyed by (workers, shards) for the scaling checks
+	// and the wire comparison.
+	cells := map[[2]int]DataplaneRow{}
 
 	for _, shards := range shardSweep {
+		// One table per shard count: the inline path never touches the
+		// engine's rings, so every worker count drives the same table.
+		eng := newWireEngine(shards, rep.Entries)
 		for _, workers := range workerSweep {
-			eng := dataplane.New(dataplane.Config{Workers: workers, Shards: shards})
-			for i := 0; i < rep.Entries; i++ {
-				eng.Table().Install(loadTuple(i), loadEntry(i))
-			}
-			row := runLoadCell(eng, workers, shards, rep, seed)
+			row := runWireCell(eng, rep, "wire-raw", workers, shards, seed)
 			row.LookupP50Ns, row.LookupP99Ns = probeLookupLatency(eng, rep.Entries, lookupHist)
-			eng.Table().FillMetrics(rep.Metrics)
 			rep.Rows = append(rep.Rows, row)
-			pps[[2]int{workers, shards}] = row.PktsPerSec
+			cells[[2]int{workers, shards}] = row
 			over := ""
 			if row.Oversubscribed {
 				over = "  (oversubscribed)"
@@ -143,9 +138,10 @@ func LoadBench(sc Scale, seed int64, raw bool) (*Result, *DataplaneReport) {
 			r.addRow("workers=%-3d shards=%-3d  %12.0f pkts/s  %7.1f ns/op  lookup p50=%6.0fns p99=%6.0fns%s",
 				row.Workers, row.Shards, row.PktsPerSec, row.NsPerOp, row.LookupP50Ns, row.LookupP99Ns, over)
 		}
+		eng.Table().FillMetrics(rep.Metrics)
 		var series []float64
 		for _, w := range workerSweep {
-			series = append(series, pps[[2]int{w, shards}])
+			series = append(series, cells[[2]int{w, shards}].PktsPerSec)
 		}
 		r.addSeries(fmt.Sprintf("pkts_per_sec_shards_%d", shards), series)
 	}
@@ -162,7 +158,7 @@ func LoadBench(sc Scale, seed int64, raw bool) (*Result, *DataplaneReport) {
 		}
 	}
 	for _, shards := range shardSweep {
-		speedup := pps[[2]int{wide, shards}] / pps[[2]int{1, shards}]
+		speedup := cells[[2]int{wide, shards}].PktsPerSec / cells[[2]int{1, shards}].PktsPerSec
 		got := fmt.Sprintf("shards=%d: %.2fx from 1 to %d workers", shards, speedup, wide)
 		if rep.GOMAXPROCS >= 4 && wide >= 4 {
 			r.check(fmt.Sprintf("parallel speedup >2x at %d shards", shards), speedup > 2, "%s", got)
@@ -172,69 +168,12 @@ func LoadBench(sc Scale, seed int64, raw bool) (*Result, *DataplaneReport) {
 		}
 	}
 
-	if raw {
-		runWireSweep(r, rep, workerSweep, seed)
-	}
+	runWireSweep(r, rep, workerSweep, cells, seed)
 	r.check("lookup latency histogram filled", lookupHist.N > 0, "n=%d", lookupHist.N)
 	r.check("every benchmark packet hit an installed entry",
 		rep.Metrics.Counter(obs.MDataplaneMisses) == 0,
 		"hits=%d misses=%d", rep.Metrics.Counter(obs.MDataplaneHits), rep.Metrics.Counter(obs.MDataplaneMisses))
 	return r, rep
-}
-
-// runLoadCell measures one sweep cell: `workers` driver goroutines each
-// hammering ProcessInline over a private working set of pre-built
-// packets, re-arming the tuple each iteration (the rewrite changes it in
-// place). Wall time over total packets is the cell's throughput.
-func runLoadCell(eng *dataplane.Engine, workers, shards int, rep *DataplaneReport, seed int64) DataplaneRow {
-	const working = 256
-	type driver struct {
-		tuples  []packet.FiveTuple
-		packets []*packet.Packet
-	}
-	drivers := make([]*driver, workers)
-	for d := range drivers {
-		rng := rand.New(rand.NewSource(seed + int64(d)))
-		dr := &driver{}
-		for i := 0; i < working; i++ {
-			ft := loadTuple(rng.Intn(rep.Entries))
-			p := packet.NewTCP(ft, packet.FlagACK, uint32(1000*i), uint32(2000*i), nil)
-			p.Window = 4096
-			p.Opts.TS = &packet.Timestamp{Val: 70000, Ecr: 80000}
-			dr.tuples = append(dr.tuples, ft)
-			dr.packets = append(dr.packets, p)
-		}
-		drivers[d] = dr
-	}
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, dr := range drivers {
-		wg.Add(1)
-		go func(dr *driver) {
-			defer wg.Done()
-			for op := 0; op < rep.OpsPerWorker; op++ {
-				i := op % working
-				p := dr.packets[i]
-				p.Tuple = dr.tuples[i]
-				eng.ProcessInline(p)
-			}
-		}(dr)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	total := uint64(workers) * uint64(rep.OpsPerWorker)
-	return DataplaneRow{
-		Path:           "struct",
-		Workers:        workers,
-		Shards:         shards,
-		Oversubscribed: workers > rep.GOMAXPROCS,
-		Packets:        total,
-		ElapsedNs:      elapsed.Nanoseconds(),
-		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(total),
-		PktsPerSec:     float64(total) / elapsed.Seconds(),
-	}
 }
 
 // loadMirrorEntry is the inverse rewrite of loadEntry(i), installed at
@@ -256,8 +195,8 @@ func loadMirrorEntry(i int) *dataplane.Entry {
 
 // newWireEngine builds an engine loaded with the benchmark entries plus
 // their mirrors (both directions of every flow).
-func newWireEngine(workers, shards, entries int) *dataplane.Engine {
-	eng := dataplane.New(dataplane.Config{Workers: workers, Shards: shards})
+func newWireEngine(shards, entries int) *dataplane.Engine {
+	eng := dataplane.New(dataplane.Config{Workers: 1, Shards: shards})
 	for i := 0; i < entries; i++ {
 		eng.Table().Install(loadTuple(i), loadEntry(i))
 		eng.Table().Install(loadTuple(i).Reverse(), loadMirrorEntry(i))
@@ -266,7 +205,7 @@ func newWireEngine(workers, shards, entries int) *dataplane.Engine {
 }
 
 // buildWireFrames serializes one driver's private working set of frames
-// (TCP with timestamps, the shape the struct sweep uses).
+// (TCP with timestamps, so both sides of the kernel rewrite options).
 func buildWireFrames(rng *rand.Rand, entries, working int) [][]byte {
 	frames := make([][]byte, working)
 	for i := range frames {
@@ -279,26 +218,23 @@ func buildWireFrames(rng *rand.Rand, entries, working int) [][]byte {
 	return frames
 }
 
-// runWireSweep measures the end-to-end cost of moving serialized frames
+// runWireSweep compares the end-to-end cost of moving serialized frames
 // through the engine on both wire paths at matching workers×shards: the
-// struct round trip (Parse → ProcessInline → AppendTo into a per-driver
-// scratch buffer, checksums recomputed from scratch) against the
-// zero-copy raw path (ProcessRawInline rewriting the frame in place with
-// incremental checksums). The ≥2× gate is the PR's perf claim; like the
-// parallel-speedup gate it self-reports without failing on hosts granted
-// fewer than 4 CPUs.
-func runWireSweep(r *Result, rep *DataplaneReport, workerSweep []int, seed int64) {
+// struct round trip (Parse → Table.Lookup → Entry.Apply* → AppendTo
+// into a per-driver scratch buffer, checksums recomputed from scratch)
+// against the sweep's zero-copy raw cells (ProcessRawInline rewriting
+// the frame in place with incremental checksums). Like the
+// parallel-speedup gate, the ≥2× gate self-reports without failing on
+// hosts granted fewer than 4 CPUs.
+func runWireSweep(r *Result, rep *DataplaneReport, workerSweep []int, raw map[[2]int]DataplaneRow, seed int64) {
 	const shards = 64
-	rep.WireOpsPerWorker = rep.OpsPerWorker / 8
-	if rep.WireOpsPerWorker < 1 {
-		rep.WireOpsPerWorker = 1
-	}
+	eng := newWireEngine(shards, rep.Entries)
 	var structPPS, rawPPS []float64
 
 	for _, workers := range workerSweep {
-		srow := runWireCell(rep, "wire-struct", workers, shards, seed)
-		rrow := runWireCell(rep, "wire-raw", workers, shards, seed)
-		rep.Rows = append(rep.Rows, srow, rrow)
+		srow := runWireCell(eng, rep, "wire-struct", workers, shards, seed)
+		rrow := raw[[2]int{workers, shards}]
+		rep.Rows = append(rep.Rows, srow)
 		structPPS = append(structPPS, srow.PktsPerSec)
 		rawPPS = append(rawPPS, rrow.PktsPerSec)
 		ratio := rrow.PktsPerSec / srow.PktsPerSec
@@ -322,13 +258,13 @@ func runWireSweep(r *Result, rep *DataplaneReport, workerSweep []int, seed int64
 	r.addSeries("wire_raw_pkts_per_sec", rawPPS)
 }
 
-// runWireCell measures one wire-path cell. Both paths drive the same
-// per-driver frame working sets; the raw path rewrites them in place
-// (mirror entries keep every op a hit), the struct path leaves them
-// untouched and serializes into a reused scratch buffer.
-func runWireCell(rep *DataplaneReport, path string, workers, shards int, seed int64) DataplaneRow {
+// runWireCell measures one wire-path cell on eng: `workers` driver
+// goroutines, each over a private working set of frames. The raw path
+// rewrites them in place (mirror entries keep every op a hit); the
+// struct path leaves them untouched and serializes into a reused scratch
+// buffer. Wall time over total ops is the cell's throughput.
+func runWireCell(eng *dataplane.Engine, rep *DataplaneReport, path string, workers, shards int, seed int64) DataplaneRow {
 	const working = 256
-	eng := newWireEngine(workers, shards, rep.Entries)
 	drivers := make([][][]byte, workers)
 	for d := range drivers {
 		drivers[d] = buildWireFrames(rand.New(rand.NewSource(seed+int64(d))), rep.Entries, working)
@@ -343,21 +279,29 @@ func runWireCell(rep *DataplaneReport, path string, workers, shards int, seed in
 			defer wg.Done()
 			bad := uint64(0)
 			if path == "wire-raw" {
-				for op := 0; op < rep.WireOpsPerWorker; op++ {
+				for op := 0; op < rep.OpsPerWorker; op++ {
 					if eng.ProcessRawInline(frames[op%working]) != dataplane.Rewritten {
 						bad++
 					}
 				}
 			} else {
+				tb := eng.Table()
 				scratch := make([]byte, 0, 128)
-				for op := 0; op < rep.WireOpsPerWorker; op++ {
+				for op := 0; op < rep.OpsPerWorker; op++ {
 					p, err := packet.Parse(frames[op%working])
 					if err != nil {
 						bad++
 						continue
 					}
-					if eng.ProcessInline(p) != dataplane.Rewritten {
+					ent := tb.Lookup(p.Tuple)
+					if ent == nil {
 						bad++
+						continue
+					}
+					if ent.Dir == dataplane.Egress {
+						ent.ApplyEgress(p, true)
+					} else {
+						ent.ApplyIngress(p, true)
 					}
 					scratch = p.AppendTo(scratch[:0])
 				}
@@ -384,7 +328,7 @@ func runWireCell(rep *DataplaneReport, path string, workers, shards int, seed in
 		panic(fmt.Sprintf("loadbench %s: %d missed ops, %d non-canonical frames", path, misses.Load(), stale))
 	}
 
-	total := uint64(workers) * uint64(rep.WireOpsPerWorker)
+	total := uint64(workers) * uint64(rep.OpsPerWorker)
 	return DataplaneRow{
 		Path:           path,
 		Workers:        workers,

@@ -35,14 +35,11 @@ var defaultHotpathRoots = []string{
 	// rewriting in the Dysco agent).
 	"internal/core.Agent.applyEgress",
 	"internal/core.Agent.applyIngress",
-	// The shared rewrite kernel both core.Agent and the concurrent
-	// engine execute.
+	// The shared rewrite kernel core.Agent executes (the concurrent
+	// engine runs its compiled RawRule form, below).
 	"internal/core.Rule.ApplyEgress",
 	"internal/core.Rule.ApplyIngress",
-	// The concurrent data plane's reader fast path: per-packet worker
-	// processing and the sharded table lookup under it, plus the flow
-	// bucketing primitives.
-	"internal/dataplane.worker.process",
+	// The concurrent data plane's sharded table lookup.
 	"internal/dataplane.Table.Lookup",
 	// The zero-copy wire fast path: per-frame worker processing, the
 	// in-place RawRule kernels, and the bounds-validating view parse

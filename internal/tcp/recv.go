@@ -18,30 +18,12 @@ func (c *Conn) recvWindow() int {
 // processData handles the payload and FIN of an inbound segment, updating
 // the reassembly queue and emitting an ACK.
 func (c *Conn) processData(p *packet.Packet) {
-	seq := p.Seq
-	data := p.Payload
 	fin := p.Flags.Has(packet.FlagFIN)
-	end := packet.SeqAdd(seq, int64(len(data)))
-
-	// Entirely old segment (retransmission already received): ACK again.
-	if packet.SeqLEQ(end, c.rcvNxt) && !fin {
+	seq, data, ok := c.trimReceived(p.Seq, p.Payload, fin)
+	if !ok {
+		// Entirely old segment (retransmission already received): ACK again.
 		c.sendAck()
 		return
-	}
-	if fin && packet.SeqLT(packet.SeqAdd(end, 1), c.rcvNxt) {
-		c.sendAck()
-		return
-	}
-
-	// Trim the prefix we already have.
-	if packet.SeqLT(seq, c.rcvNxt) {
-		skip := int(packet.SeqDiff(seq, c.rcvNxt))
-		if skip >= len(data) {
-			data = nil
-		} else {
-			data = data[skip:]
-		}
-		seq = c.rcvNxt
 	}
 
 	if seq == c.rcvNxt {
@@ -57,6 +39,34 @@ func (c *Conn) processData(p *packet.Packet) {
 		}
 	}
 	c.sendAck()
+}
+
+// trimReceived is the one acceptance rule for a segment against rcvNxt,
+// shared by arriving segments and queued ones that rcvNxt has overtaken.
+// A FIN occupies the sequence number after the data (RFC 793), so a
+// segment is old — ok=false — when everything it occupies, FIN included,
+// lies before rcvNxt: a retransmission, or a FIN contradicted by data
+// already received past it. Otherwise the prefix rcvNxt has passed is
+// dropped (all of the data when only the FIN is new) and the rest
+// returned.
+func (c *Conn) trimReceived(seq uint32, data []byte, fin bool) (uint32, []byte, bool) {
+	end := packet.SeqAdd(seq, int64(len(data)))
+	if fin {
+		end = packet.SeqAdd(end, 1)
+	}
+	if packet.SeqLEQ(end, c.rcvNxt) {
+		return seq, nil, false
+	}
+	if packet.SeqLT(seq, c.rcvNxt) {
+		skip := int(packet.SeqDiff(seq, c.rcvNxt))
+		if skip >= len(data) {
+			data = nil
+		} else {
+			data = data[skip:]
+		}
+		seq = c.rcvNxt
+	}
+	return seq, data, true
 }
 
 // deliver hands in-order bytes to the application and consumes a FIN.
@@ -136,19 +146,14 @@ func (c *Conn) insertOOO(s oooSeg) {
 func (c *Conn) drainOOO() {
 	for len(c.ooo) > 0 {
 		s := c.ooo[0]
-		sEnd := packet.SeqAdd(s.seq, int64(len(s.data)))
 		if packet.SeqGT(s.seq, c.rcvNxt) {
 			return
 		}
 		c.ooo = c.ooo[1:]
 		c.oooBytes -= len(s.data)
-		if packet.SeqLEQ(sEnd, c.rcvNxt) && !s.fin {
-			continue // stale
+		if _, data, ok := c.trimReceived(s.seq, s.data, s.fin); ok {
+			c.deliver(data, s.fin)
 		}
-		if packet.SeqLT(s.seq, c.rcvNxt) {
-			s.data = s.data[int(packet.SeqDiff(s.seq, c.rcvNxt)):]
-		}
-		c.deliver(s.data, s.fin)
 	}
 }
 

@@ -36,18 +36,18 @@ go test ./internal/dataplane -run '^$' -fuzz '^FuzzRawRewrite$' -fuzztime 10s
 go run ./cmd/dyscobench -short -obsout BENCH_obs.json
 go run ./cmd/dyscofault -short -json FAULT_sweep.json
 
-# Concurrent data-plane gate. The differential oracles (struct and
-# raw-vs-struct) and snapshot churn stress already ran under -race above
-# (internal/dataplane is part of the module test sweep); this re-runs
-# just that package's oracle and raw-path tests as an explicit,
-# greppable gate, then takes the quick-scale throughput sweep including
-# the wire-path comparison (struct round trip vs zero-copy raw). The
-# >2x parallel-speedup and raw>=2x-struct checks inside the sweep
-# self-gate on hosts granted fewer than 4 CPUs; the GitHub runners have
-# 4 vCPUs, so CI enforces both and archives the sweep as
-# BENCH_dataplane.json.
+# Concurrent data-plane gate. The raw differential oracle (stable flows
+# byte-exact, same-key churn version-consistent) and snapshot churn
+# stress already ran under -race above (internal/dataplane is part of
+# the module test sweep); this re-runs just that package's engine,
+# table and raw-path tests as an explicit, greppable gate, then takes
+# the quick-scale raw-path throughput sweep, which always ends with the
+# wire-path comparison (struct round trip vs zero-copy raw). The >2x
+# parallel-speedup and raw>=2x-struct checks inside the sweep self-gate
+# on hosts granted fewer than 4 CPUs; the GitHub runners have 4 vCPUs,
+# so CI enforces both and archives the sweep as BENCH_dataplane.json.
 go test -race -run 'TestEngine|TestTable|TestRaw' ./internal/dataplane
-go run ./cmd/dyscobench -dataplane -raw -dpout BENCH_dataplane.json
+go run ./cmd/dyscobench -dataplane -dpout BENCH_dataplane.json
 
 # Critical-path determinism gate: for every scenario, extract the
 # reconfiguration critical paths twice with the same seed and require
