@@ -31,14 +31,14 @@ var AllocfreeAnalyzer = &Analyzer{
 	RunModule: runAllocfree,
 }
 
-func runAllocfree(pkgs []*Package) []Finding {
+func runAllocfree(pkgs []*Package, cg *CallGraph) []Finding {
 	if len(pkgs) == 0 {
 		return nil
 	}
-	cg := BuildCallGraph(pkgs)
-	region, findings := buildHotRegion(pkgs, cg)
+	region, bad := cg.region()
+	findings := append([]Finding(nil), bad...)
 	mod := pkgs[0].ModulePath
-	for _, hf := range region.funcs {
+	for _, hf := range region {
 		node := cg.Nodes[hf.key]
 		report := func(n ast.Node, msg string) {
 			findings = append(findings, hotFinding("allocfree", node.Pkg, n, hf.chain, msg))
@@ -202,7 +202,7 @@ func scanAllocCall(pkg *Package, call *ast.CallExpr, cg *CallGraph, mod string, 
 	}
 	if fn := calleeFunc(pkg, call); fn != nil {
 		if path := funcPkgPath(fn); path != "" && !inModulePath(path, mod) && !allocFreeStdPkg(path) {
-			report(call, fmt.Sprintf("call into %s cannot be proven allocation-free", lockFuncKey(fn)))
+			report(call, fmt.Sprintf("call into %s cannot be proven allocation-free", funcKey(fn)))
 		}
 		checkCallArgs(pkg, call, fn.Type().(*types.Signature), report)
 		walk(call.Fun)

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // BlockfreeAnalyzer proves the hot-path region (same region as
@@ -26,33 +25,36 @@ var BlockfreeAnalyzer = &Analyzer{
 	RunModule: runBlockfree,
 }
 
-func runBlockfree(pkgs []*Package) []Finding {
+func runBlockfree(pkgs []*Package, cg *CallGraph) []Finding {
 	if len(pkgs) == 0 {
 		return nil
 	}
-	cg := BuildCallGraph(pkgs)
-	region, findings := buildHotRegion(pkgs, cg)
-	// buildHotRegion reports malformed coldpath annotations under the
-	// allocfree rule; allocfree owns those, don't duplicate them here.
-	findings = findings[:0]
+	// The region's malformed-coldpath findings belong to allocfree.
+	region, _ := cg.region()
 	mod := pkgs[0].ModulePath
 
+	var findings []Finding
 	hotLocks := map[string]bool{}
-	for _, hf := range region.funcs {
+	for _, hf := range region {
 		node := cg.Nodes[hf.key]
 		report := func(n ast.Node, msg string) {
 			findings = append(findings, hotFinding("blockfree", node.Pkg, n, hf.chain, msg))
 		}
-		scanBlockBody(node.Pkg, node.Decl, cg, mod, hotLocks, report)
+		scanBlockBody(node, cg, mod, hotLocks, report)
 	}
 
-	findings = append(findings, scanHotLockHolders(pkgs, hotLocks)...)
+	if len(hotLocks) > 0 {
+		for _, n := range cg.funcs {
+			findings = append(findings, scanHolderFunc(n, hotLocks)...)
+		}
+	}
 	return findings
 }
 
 // scanBlockBody walks one hot function body reporting blocking
 // constructs. Lock classes acquired here are recorded in hotLocks.
-func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, hotLocks map[string]bool, report func(ast.Node, string)) {
+func scanBlockBody(node *CGNode, cg *CallGraph, mod string, hotLocks map[string]bool, report func(ast.Node, string)) {
+	pkg := node.Pkg
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		if n == nil {
@@ -94,18 +96,18 @@ func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, ho
 			}
 			return
 		case *ast.CallExpr:
-			scanBlockCall(pkg, fd.Name.Name, n, cg, mod, hotLocks, report, walk)
+			scanBlockCall(pkg, node.Key, n, cg, mod, hotLocks, report, walk)
 			return
 		}
 		for _, c := range astChildren(n) {
 			walk(c)
 		}
 	}
-	walk(fd.Body)
+	walk(node.Decl.Body)
 }
 
 // scanBlockCall classifies one call expression on the hot path.
-func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGraph, mod string, hotLocks map[string]bool, report func(ast.Node, string), walk func(ast.Node)) {
+func scanBlockCall(pkg *Package, fnKey string, call *ast.CallExpr, cg *CallGraph, mod string, hotLocks map[string]bool, report func(ast.Node, string), walk func(ast.Node)) {
 	walkRest := func() {
 		walk(call.Fun)
 		for _, a := range call.Args {
@@ -137,7 +139,7 @@ func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGr
 			return
 		}
 	}
-	if key, acq, rel := lockClassOf(pkg, funcName, call); key != "" && (acq || rel) {
+	if key, acq, rel := lockClassOf(pkg, fnKey, call); acq || rel {
 		if acq {
 			report(call, fmt.Sprintf("acquires lock class %s on the hot path", key))
 			hotLocks[key] = true
@@ -160,7 +162,7 @@ func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGr
 		if msg := blockingStdCall(fn); msg != "" {
 			report(call, msg)
 		} else if path := funcPkgPath(fn); path != "" && !inModulePath(path, mod) && !nonBlockingStdPkg(path) {
-			report(call, fmt.Sprintf("call into %s cannot be proven non-blocking", lockFuncKey(fn)))
+			report(call, fmt.Sprintf("call into %s cannot be proven non-blocking", funcKey(fn)))
 		}
 		walkRest()
 		return
@@ -232,95 +234,47 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 	return false
 }
 
-// scanHotLockHolders runs the module-wide second half: with the set of
-// hot lock classes in hand, flag any code that acquires another lock or
-// performs a blocking operation while a hot class may be held. The
-// held-set is lockorder's may-analysis, so a conditional release keeps
-// the class "held" — conservative toward finding latency extensions.
-func scanHotLockHolders(pkgs []*Package, hotLocks map[string]bool) []Finding {
-	if len(hotLocks) == 0 {
-		return nil
-	}
-	var hotNames []string
-	for k := range hotLocks {
-		hotNames = append(hotNames, k)
-	}
-	sort.Strings(hotNames)
+// scanHolderFunc runs the module-wide second half over one function:
+// with the set of hot lock classes in hand, flag any code that acquires
+// another lock or performs a blocking operation while a hot class may be
+// held. The held-set is lockorder's may-analysis, so a conditional release
+// keeps the class "held" — conservative toward finding latency extensions.
+func scanHolderFunc(n *CGNode, hotLocks map[string]bool) []Finding {
 	var out []Finding
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, scanHolderFunc(pkg, fd, hotLocks)...)
+	walkHeld(n, func(m ast.Node, held nameSet, class string, acquire bool) {
+		hot := ""
+		for _, k := range held.sorted() {
+			if hotLocks[k] {
+				hot = k
+				break
 			}
 		}
-	}
-	return out
-}
-
-// scanHolderFunc checks one function body for blocking-while-hot.
-func scanHolderFunc(pkg *Package, fd *ast.FuncDecl, hotLocks map[string]bool) []Finding {
-	var out []Finding
-	lat := &heldLattice{pkg: pkg, funcName: fd.Name.Name}
-	g := BuildCFG(fd.Body)
-	ForwardVisit[heldFact](g, lat, func(n ast.Node, before heldFact) {
-		f := before
-		hotHeld := func() string {
-			for _, k := range sortedHeld(f) {
-				if hotLocks[k] {
-					return k
-				}
-			}
-			return ""
+		if hot == "" {
+			return
 		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit, *ast.DeferStmt:
-				return false
-			case *ast.SendStmt:
-				if h := hotHeld(); h != "" {
-					out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-						Msg: fmt.Sprintf("channel send while hot lock class %s may be held: extends per-packet critical section", h)})
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW {
-					if h := hotHeld(); h != "" {
-						out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-							Msg: fmt.Sprintf("channel receive while hot lock class %s may be held", h)})
-					}
-				}
-			case *ast.SelectStmt:
-				if !selectHasDefault(m) {
-					if h := hotHeld(); h != "" {
-						out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-							Msg: fmt.Sprintf("blocking select while hot lock class %s may be held", h)})
-					}
-				}
-			case *ast.CallExpr:
-				if key, acq, rel := lockClassOf(pkg, fd.Name.Name, m); key != "" && (acq || rel) {
-					if acq {
-						if h := hotHeld(); h != "" && key != h {
-							out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-								Msg: fmt.Sprintf("lock class %s acquired while hot lock class %s may be held", key, h)})
-						}
-					}
-					f = lat.Transfer(&ast.ExprStmt{X: m}, f)
-					return false
-				}
-				if fn := calleeFunc(pkg, m); fn != nil {
-					if msg := blockingStdCall(fn); msg != "" {
-						if h := hotHeld(); h != "" {
-							out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-								Msg: fmt.Sprintf("%s while hot lock class %s may be held", msg, h)})
-						}
-					}
-				}
+		what, suffix := "", ""
+		switch m := m.(type) {
+		case *ast.SendStmt:
+			what, suffix = "channel send", ": extends per-packet critical section"
+		case *ast.UnaryExpr:
+			if m.Op == token.ARROW {
+				what = "channel receive"
 			}
-			return true
-		})
+		case *ast.SelectStmt:
+			if !selectHasDefault(m) {
+				what = "blocking select"
+			}
+		case *ast.CallExpr:
+			if acquire && class != hot {
+				what = fmt.Sprintf("lock class %s acquired", class)
+			} else if fn := calleeFunc(n.Pkg, m); fn != nil && class == "" {
+				what = blockingStdCall(fn)
+			}
+		}
+		if what != "" {
+			out = append(out, Finding{Rule: "blockfree", Pos: position(n.Pkg, m),
+				Msg: fmt.Sprintf("%s while hot lock class %s may be held%s", what, hot, suffix)})
+		}
 	})
 	return out
 }

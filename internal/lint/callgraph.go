@@ -9,11 +9,14 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide call graph that the interprocedural
-// rules (allocfree, blockfree) traverse and that `dyscolint -callgraph`
-// dumps. Nodes are functions named by lockFuncKey (pkgpath.Recv.Name);
-// string keys deliberately, because the loader type-checks each package in
-// its own universe and *types.Func pointers do not survive the crossing.
+// This file builds the module-wide call graph that `dyscolint -callgraph`
+// dumps. lint.Run builds it once per run and hands it to every module
+// rule: its Nodes are the one function index the interprocedural rules
+// (allocfree, blockfree, lockorder, goroleak, rewritetaint) share, and
+// allocfree and blockfree traverse its edges. Nodes are functions named by
+// funcKey (pkgpath.Recv.Name); string keys deliberately, because the
+// loader type-checks each package in its own universe and *types.Func
+// pointers do not survive the crossing.
 //
 // Resolution is RTA-flavored and over-approximate in the direction that
 // keeps the hot-path proofs sound:
@@ -82,6 +85,11 @@ type CGNode struct {
 	Decl *ast.FuncDecl
 }
 
+// sig returns the node's function signature.
+func (n *CGNode) sig() *types.Signature {
+	return n.Pkg.Info.Defs[n.Decl.Name].Type().(*types.Signature)
+}
+
 // CallGraph is the module-wide graph plus the RTA state needed to
 // re-resolve individual call sites (the interprocedural rules ask about
 // specific interface calls while walking bodies).
@@ -90,6 +98,12 @@ type CallGraph struct {
 	Edges []CGEdge // sorted by (Caller, Callee, Kind, Go, ViaLit)
 	out   map[string][]int
 	rta   *rtaState
+	funcs []*CGNode // Nodes in key order, the rules' iteration order
+	// hot, hotBad and hotBuilt memoize region(): allocfree and blockfree
+	// scan the same hot region, computed once per graph.
+	hot      []hotFunc
+	hotBad   []Finding
+	hotBuilt bool
 }
 
 // Out returns the outgoing edges of a node key, in sorted order.
@@ -140,7 +154,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				g.Nodes[lockFuncKey(fn)] = &CGNode{Key: lockFuncKey(fn), Pkg: pkg, Decl: fd}
+				g.Nodes[funcKey(fn)] = &CGNode{Key: funcKey(fn), Pkg: pkg, Decl: fd}
 			}
 		}
 	}
@@ -161,17 +175,15 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			first[id] = pos
 		}
 	}
-	var keys []string
-	for k := range g.Nodes {
-		keys = append(keys, k)
+	for _, n := range g.Nodes {
+		g.funcs = append(g.funcs, n)
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		n := g.Nodes[key]
+	sort.Slice(g.funcs, func(i, j int) bool { return g.funcs[i].Key < g.funcs[j].Key })
+	for _, n := range g.funcs {
 		scanCalls(n.Pkg, n.Decl.Body, func(site callSite) {
 			pos := position(n.Pkg, site.call)
 			for _, callee := range g.resolveSite(n.Pkg, site.call) {
-				add(key, callee.key, callee.kind, site.goStmt, site.viaLit, pos)
+				add(n.Key, callee.key, callee.kind, site.goStmt, site.viaLit, pos)
 			}
 		})
 	}
@@ -198,6 +210,28 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		g.out[e.Caller] = append(g.out[e.Caller], i)
 	}
 	return g
+}
+
+// closeSets grows sets in place to the least solution of the subset
+// constraints sets[k] ⊇ sets[d] for every d in deps[k]: lockorder closes
+// each function's acquired lock classes over its callees, goroleak closes
+// each channel parameter's classes over the parameters that flow into it.
+// Every key of deps must be a key of sets; a dependency that is not a key
+// of sets contributes nothing.
+func closeSets(sets map[string]nameSet, deps map[string][]string) {
+	for changed := true; changed; {
+		changed = false
+		for k, s := range sets {
+			for _, d := range deps[k] {
+				for x := range sets[d] {
+					if !s[x] {
+						s[x] = true
+						changed = true
+					}
+				}
+			}
+		}
+	}
 }
 
 // callSite is a call expression with its structural context.
@@ -305,7 +339,7 @@ func (g *CallGraph) resolveSite(pkg *Package, call *ast.CallExpr) []cgTarget {
 		}
 	}
 	if fn := calleeFunc(pkg, call); fn != nil {
-		return []cgTarget{{key: lockFuncKey(fn), kind: CGStatic}}
+		return []cgTarget{{key: funcKey(fn), kind: CGStatic}}
 	}
 	// Dynamic call through a function value: match bound functions by
 	// signature.
@@ -391,7 +425,7 @@ func buildRTA(pkgs []*Package, mod string) *rtaState {
 		if boundSet[s] == nil {
 			boundSet[s] = map[string]bool{}
 		}
-		boundSet[s][lockFuncKey(fn)] = true
+		boundSet[s][funcKey(fn)] = true
 	}
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.Info.Defs {
@@ -430,7 +464,7 @@ func buildRTA(pkgs []*Package, mod string) *rtaState {
 			if !ok {
 				continue
 			}
-			m[fn.Name()] = cgMethod{target: lockFuncKey(fn), sig: sigKey(stripRecv(fn))}
+			m[fn.Name()] = cgMethod{target: funcKey(fn), sig: sigKey(stripRecv(fn))}
 		}
 		rta.methods[key] = m
 	}
@@ -518,7 +552,7 @@ func (rta *rtaState) ifaceTargets(recv types.Type, fn *types.Func) []cgTarget {
 	if len(out) == 0 {
 		// Unresolved: name the interface method itself so the dump shows
 		// where resolution stopped.
-		return []cgTarget{{key: lockFuncKey(fn), kind: CGIface}}
+		return []cgTarget{{key: funcKey(fn), kind: CGIface}}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"sort"
 )
 
 // Forward-dataflow worklist engine over the CFGs of cfg.go. Clients
@@ -110,4 +111,84 @@ func CondAtoms(cond ast.Expr, truth bool) []CondAtom {
 		}
 	}
 	return []CondAtom{{Expr: cond, Truth: truth}}
+}
+
+// nameSet is the fact of the may-analyses over names (lock classes that
+// may be held, packet identifiers that may be tainted). Sets are immutable
+// once handed to the engine: nil is the empty set, and with/without copy
+// on write.
+type nameSet map[string]bool
+
+func (s nameSet) with(k string) nameSet {
+	if s[k] {
+		return s
+	}
+	t := make(nameSet, len(s)+1)
+	for x := range s {
+		t[x] = true
+	}
+	t[k] = true
+	return t
+}
+
+func (s nameSet) without(k string) nameSet {
+	if !s[k] {
+		return s
+	}
+	t := make(nameSet, len(s)-1)
+	for x := range s {
+		if x != k {
+			t[x] = true
+		}
+	}
+	return t
+}
+
+// sorted returns the members in order; nil for the empty set.
+func (s nameSet) sorted() []string {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(s))
+	for k := range s {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// mayLattice is the union lattice over nameSet: a name present on any
+// incoming path is present after the join. Clients embed it and supply
+// Entry and Transfer; no edge refines the fact.
+type mayLattice struct{}
+
+func (mayLattice) Refine(e Edge, f nameSet) (nameSet, bool) { return f, true }
+
+func (mayLattice) Join(a, b nameSet) nameSet {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	j := make(nameSet, len(a)+len(b))
+	for k := range a {
+		j[k] = true
+	}
+	for k := range b {
+		j[k] = true
+	}
+	return j
+}
+
+func (mayLattice) Equal(a, b nameSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
 }

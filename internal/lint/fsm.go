@@ -99,7 +99,7 @@ var FsmconformAnalyzer = &Analyzer{
 	RunModule: runFsmconform,
 }
 
-func runFsmconform(pkgs []*Package) []Finding {
+func runFsmconform(pkgs []*Package, _ *CallGraph) []Finding {
 	return CheckFSMConformance(pkgs, DefaultFSMSpecs(), model.Tables())
 }
 

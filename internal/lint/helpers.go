@@ -82,6 +82,53 @@ func recvNamed(f *types.Func) *types.Named {
 	return n
 }
 
+// funcKey names a function across packages by path, receiver, and name.
+// String identity deliberately: the loader type-checks each package in
+// its own full pass, so *types.Func pointers for the same function differ
+// between the defining package's load and an importer's load.
+func funcKey(fn *types.Func) string {
+	if r := recvNamed(fn); r != nil {
+		return funcPkgPath(fn) + "." + r.Obj().Name() + "." + fn.Name()
+	}
+	return funcPkgPath(fn) + "." + fn.Name()
+}
+
+// varClass names the class of a variable expression, shared by the lock
+// classes (lockorder, blockfree) and the channel classes (goroleak): a
+// struct field is pkg.Type.field and a package-level variable pkg.var, so
+// every instance of a type shares its field's class; a function-local is
+// fnKey#name, scoped by the full key of the enclosing declared function
+// so the locals of (A).f and (B).f stay apart. "" means no class.
+func varClass(pkg *Package, fnKey string, e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		if s, ok := pkg.Info.Selections[x]; ok {
+			recv := s.Recv()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			if n, ok := recv.(*types.Named); ok && n.Obj().Pkg() != nil {
+				return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + x.Sel.Name
+			}
+		}
+		// Package-qualified variable otherpkg.v, or a field of an unnamed
+		// struct type, which falls back to pkg.field.
+		if o, ok := pkg.Info.Uses[x.Sel]; ok && o.Pkg() != nil {
+			return o.Pkg().Path() + "." + o.Name()
+		}
+	case *ast.Ident:
+		o := pkg.Info.ObjectOf(x)
+		if o == nil || o.Pkg() == nil {
+			return ""
+		}
+		if o.Parent() == o.Pkg().Scope() {
+			return o.Pkg().Path() + "." + o.Name()
+		}
+		return fnKey + "#" + o.Name()
+	}
+	return ""
+}
+
 // namedIs reports whether n is the named type pkgPath.name.
 func namedIs(n *types.Named, pkgPath, name string) bool {
 	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {

@@ -3,8 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -105,14 +103,6 @@ type hotFunc struct {
 	chain []string
 }
 
-// hotRegion is the computed closure.
-type hotRegion struct {
-	cg    *CallGraph
-	funcs []hotFunc // BFS order from the sorted roots; each key once
-	cold  map[string]string
-	roots []string // full keys of roots present in the loaded packages
-}
-
 // shortFuncKey strips the module-path directory prefix from a function
 // key for readable chains: "repro/internal/core.Agent.applyEgress" →
 // "core.Agent.applyEgress".
@@ -125,41 +115,41 @@ func shortFuncKey(key string) string {
 
 // funcAnnotations scans function doc comments for //lint:hotpath and
 // //lint:coldpath directives.
-func funcAnnotations(pkgs []*Package) (hot []string, cold map[string]string, bad []Finding) {
-	cold = map[string]string{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
+func funcAnnotations(cg *CallGraph) (hot map[string]bool, cold map[string]string, bad []Finding) {
+	hot, cold = map[string]bool{}, map[string]string{}
+	for _, n := range cg.funcs {
+		if n.Decl.Doc == nil {
+			continue
+		}
+		for _, c := range n.Decl.Doc.List {
+			switch {
+			case strings.HasPrefix(c.Text, coldpathPrefix):
+				reason := strings.TrimSpace(strings.TrimPrefix(c.Text, coldpathPrefix))
+				if reason == "" {
+					bad = append(bad, Finding{
+						Rule: "allocfree",
+						Pos:  n.Pkg.Fset.Position(c.Pos()),
+						Msg:  "//lint:coldpath without a reason: a traversal boundary is a claim and must say why the call is off the per-packet path",
+					})
 					continue
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					switch {
-					case strings.HasPrefix(c.Text, coldpathPrefix):
-						reason := strings.TrimSpace(strings.TrimPrefix(c.Text, coldpathPrefix))
-						if reason == "" {
-							bad = append(bad, Finding{
-								Rule: "allocfree",
-								Pos:  pkg.Fset.Position(c.Pos()),
-								Msg:  "//lint:coldpath without a reason: a traversal boundary is a claim and must say why the call is off the per-packet path",
-							})
-							continue
-						}
-						cold[lockFuncKey(fn)] = reason
-					case strings.HasPrefix(c.Text, hotpathPrefix):
-						hot = append(hot, lockFuncKey(fn))
-					}
-				}
+				cold[n.Key] = reason
+			case strings.HasPrefix(c.Text, hotpathPrefix):
+				hot[n.Key] = true
 			}
 		}
 	}
-	sort.Strings(hot)
 	return hot, cold, bad
+}
+
+// region returns the hot region of the graph and the malformed-annotation
+// findings, computing them on first use.
+func (g *CallGraph) region() ([]hotFunc, []Finding) {
+	if !g.hotBuilt {
+		g.hot, g.hotBad = buildHotRegion(g)
+		g.hotBuilt = true
+	}
+	return g.hot, g.hotBad
 }
 
 // buildHotRegion computes the hot region over a prebuilt call graph.
@@ -169,45 +159,29 @@ func funcAnnotations(pkgs []*Package) (hot []string, cold map[string]string, bad
 // instead — a closure that never runs costs nothing, and one that does
 // run was already flagged where it was built). Callees outside the
 // loaded packages or marked coldpath are boundaries.
-func buildHotRegion(pkgs []*Package, cg *CallGraph) (*hotRegion, []Finding) {
-	hot, cold, bad := funcAnnotations(pkgs)
-	region := &hotRegion{cg: cg, cold: cold}
-
-	// Resolve declared roots (suffix match) plus annotated roots.
-	var nodeKeys []string
-	for k := range cg.Nodes {
-		nodeKeys = append(nodeKeys, k)
-	}
-	sort.Strings(nodeKeys)
-	rootSet := map[string]bool{}
-	for _, want := range defaultHotpathRoots {
-		for _, k := range nodeKeys {
-			if k == want || strings.HasSuffix(k, "/"+want) {
-				rootSet[k] = true
+//
+// The region is in BFS order from the roots in key order, each function
+// once, with the chain that first reached it.
+func buildHotRegion(cg *CallGraph) ([]hotFunc, []Finding) {
+	hot, cold, bad := funcAnnotations(cg)
+	isRoot := func(key string) bool {
+		for _, want := range defaultHotpathRoots {
+			if key == want || strings.HasSuffix(key, "/"+want) {
+				return true
 			}
 		}
+		return hot[key]
 	}
-	for _, k := range hot {
-		if cg.Nodes[k] != nil {
-			rootSet[k] = true
+	var region []hotFunc
+	visited := map[string]bool{}
+	for _, n := range cg.funcs {
+		if isRoot(n.Key) {
+			region = append(region, hotFunc{key: n.Key, chain: []string{shortFuncKey(n.Key)}})
+			visited[n.Key] = true
 		}
 	}
-	for k := range rootSet {
-		region.roots = append(region.roots, k)
-	}
-	sort.Strings(region.roots)
-
-	// BFS with first-reached chains.
-	visited := map[string]bool{}
-	queue := make([]hotFunc, 0, len(region.roots))
-	for _, r := range region.roots {
-		queue = append(queue, hotFunc{key: r, chain: []string{shortFuncKey(r)}})
-		visited[r] = true
-	}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		region.funcs = append(region.funcs, f)
+	for i := 0; i < len(region); i++ {
+		f := region[i]
 		for _, e := range cg.Out(f.key) {
 			if e.ViaLit || e.Go {
 				continue
@@ -225,7 +199,7 @@ func buildHotRegion(pkgs []*Package, cg *CallGraph) (*hotRegion, []Finding) {
 			chain := make([]string, len(f.chain)+1)
 			copy(chain, f.chain)
 			chain[len(f.chain)] = shortFuncKey(e.Callee)
-			queue = append(queue, hotFunc{key: e.Callee, chain: chain})
+			region = append(region, hotFunc{key: e.Callee, chain: chain})
 		}
 	}
 	return region, bad

@@ -38,8 +38,9 @@ func (f Finding) String() string {
 
 // Analyzer is one named rule. Per-package rules implement Run; rules that
 // need a whole-module view (cross-package call graphs, conformance against
-// another package's model) implement RunModule instead. Exactly one of the
-// two should be set.
+// another package's model) implement RunModule instead, and receive the
+// module call graph lint.Run builds once for all of them. Exactly one of
+// the two should be set.
 type Analyzer struct {
 	// Name is the rule ID used in reports and //lint:ignore comments.
 	Name string
@@ -47,8 +48,9 @@ type Analyzer struct {
 	Doc string
 	// Run reports violations in pkg. Suppression is applied by the caller.
 	Run func(pkg *Package) []Finding
-	// RunModule reports violations across all loaded packages at once.
-	RunModule func(pkgs []*Package) []Finding
+	// RunModule reports violations across all loaded packages at once; cg
+	// is BuildCallGraph(pkgs), shared by every module rule of the run.
+	RunModule func(pkgs []*Package, cg *CallGraph) []Finding
 }
 
 // All returns every analyzer in the suite, in stable order.
@@ -131,7 +133,8 @@ func parseIgnores(pkg *Package, f *ast.File) []*ignoreDirective {
 }
 
 // Run executes the analyzers over the packages, applies //lint:ignore
-// suppression, and returns surviving findings sorted by position. A
+// suppression, and returns surviving findings sorted by (file, line,
+// column, rule, message). A
 // malformed directive (no rule, or no reason) is reported as a finding of
 // rule "lint", and so is a directive that suppressed nothing — a stale
 // suppression hides the next real finding on its line, so it must go as
@@ -163,6 +166,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 		all = append(all, f)
 	}
+	var cg *CallGraph
 	for _, a := range analyzers {
 		if a.Run != nil {
 			for _, pkg := range pkgs {
@@ -172,7 +176,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			}
 		}
 		if a.RunModule != nil {
-			for _, f := range a.RunModule(pkgs) {
+			if cg == nil {
+				cg = BuildCallGraph(pkgs)
+			}
+			for _, f := range a.RunModule(pkgs, cg) {
 				keep(f)
 			}
 		}
@@ -201,14 +208,17 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			Msg:  fmt.Sprintf("unused //lint:ignore %s: the directive suppresses nothing; remove it", strings.Join(names, ",")),
 		})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Pos.Filename != all[j].Pos.Filename {
-			return all[i].Pos.Filename < all[j].Pos.Filename
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		switch {
+		case posLess(a.Pos, b.Pos):
+			return true
+		case posLess(b.Pos, a.Pos):
+			return false
+		case a.Rule != b.Rule:
+			return a.Rule < b.Rule
 		}
-		if all[i].Pos.Line != all[j].Pos.Line {
-			return all[i].Pos.Line < all[j].Pos.Line
-		}
-		return all[i].Rule < all[j].Rule
+		return a.Msg < b.Msg
 	})
 	return all
 }

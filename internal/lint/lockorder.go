@@ -10,11 +10,12 @@ import (
 
 // LockorderAnalyzer builds the module-wide lock-acquisition graph and
 // rejects cycles. A node is a lock *class* — a mutex-typed struct field
-// (pkg.Type.field) or package-level variable (pkg.var) — so two goroutines
-// locking different Session instances still count as the same class. An
-// edge A→B is recorded whenever B is acquired at a point where A may be
-// held, either directly or because a call made with A held transitively
-// acquires B somewhere down the (static) call graph. Any cycle in that
+// (pkg.Type.field), package-level variable (pkg.var), or function-local
+// (fnKey#name; see varClass) — so two goroutines locking different
+// Session instances still count as the same class. An edge A→B is
+// recorded whenever B is acquired at a point where A may be held, either
+// directly or because a call made with A held transitively acquires B
+// somewhere down the (static) call graph. Any cycle in that
 // graph is an interleaving away from deadlock, which in this codebase
 // means a reconfiguration that never completes and a session locked
 // forever (the model checker's P2/P4 both assume lock handoffs terminate).
@@ -33,7 +34,8 @@ var LockorderAnalyzer = &Analyzer{
 // lockClassOf classifies a call as acquire/release of a lock class. The
 // receiver expression must be of type sync.Mutex or sync.RWMutex; RLock
 // and Lock map to the same class (an RLock-vs-Lock cycle still deadlocks).
-func lockClassOf(pkg *Package, funcName string, call *ast.CallExpr) (key string, acquire, release bool) {
+// The class is the receiver's varClass; fnKey names the enclosing function.
+func lockClassOf(pkg *Package, fnKey string, call *ast.CallExpr) (class string, acquire, release bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false, false
@@ -57,133 +59,74 @@ func lockClassOf(pkg *Package, funcName string, call *ast.CallExpr) (key string,
 	if n, ok := t.(*types.Named); !ok || !namedIs(n, "sync", "Mutex") && !namedIs(n, "sync", "RWMutex") {
 		return "", false, false
 	}
-	base := ast.Unparen(sel.X)
-	switch e := base.(type) {
-	case *ast.SelectorExpr:
-		// Field access x.mu: class is the owning named type plus field.
-		if s, ok := pkg.Info.Selections[e]; ok {
-			recv := s.Recv()
-			if p, ok := recv.(*types.Pointer); ok {
-				recv = p.Elem()
-			}
-			if n, ok := recv.(*types.Named); ok && n.Obj().Pkg() != nil {
-				return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + e.Sel.Name, acquire, release
-			}
-		}
-		// Package-qualified variable otherpkg.Mu.
-		if o, ok := pkg.Info.Uses[e.Sel]; ok && o.Pkg() != nil {
-			return o.Pkg().Path() + "." + o.Name(), acquire, release
-		}
-	case *ast.Ident:
-		if o, ok := pkg.Info.Uses[e]; ok && o.Pkg() != nil {
-			if o.Parent() == o.Pkg().Scope() {
-				return o.Pkg().Path() + "." + o.Name(), acquire, release
-			}
-			// A function-local mutex is its own class, scoped to the
-			// function so unrelated locals don't collide.
-			return pkg.PkgPath + "." + funcName + "#" + o.Name(), acquire, release
-		}
+	if class = varClass(pkg, fnKey, sel.X); class == "" {
+		return "", false, false
 	}
-	return "", false, false
+	return class, acquire, release
 }
 
-// heldFact is the set of lock classes that may be held; nil is the empty
-// set (function entry).
-type heldFact map[string]bool
-
-// heldLattice tracks may-held lock classes through a function body.
-// DeferStmt is skipped entirely: a deferred unlock runs at return, not
-// where it is written, and treating it as immediate would hide edges.
+// heldLattice tracks the lock classes that may be held through the body
+// of the function fnKey names.
 type heldLattice struct {
-	pkg      *Package
-	funcName string
+	mayLattice
+	pkg   *Package
+	fnKey string
 }
 
-func (l *heldLattice) Entry() heldFact { return nil }
+func (l *heldLattice) Entry() nameSet { return nil }
 
-// lockCalls walks the lock-relevant calls of a node in source order,
-// skipping function literals (their bodies are analyzed separately) and
-// deferred calls.
-func (l *heldLattice) lockCalls(n ast.Node, visit func(call *ast.CallExpr, key string, acquire bool)) {
+func (l *heldLattice) Transfer(n ast.Node, f nameSet) nameSet { return l.step(n, f, nil) }
+
+// step threads the held set f through n in source order and returns the
+// set after n. Function literals (their bodies are analyzed separately)
+// and deferred calls (a deferred unlock runs at return, not where it is
+// written, and treating it as immediate would hide edges) are skipped.
+// visit, when non-nil, sees every other node with the set held just
+// before it; a lock call is seen with its class and whether it acquires,
+// and its operands are not descended into.
+func (l *heldLattice) step(n ast.Node, f nameSet, visit func(m ast.Node, held nameSet, class string, acquire bool)) nameSet {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.FuncLit, *ast.DeferStmt:
+		case nil, *ast.FuncLit, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			if key, acq, rel := lockClassOf(l.pkg, l.funcName, m); key != "" && (acq || rel) {
-				visit(m, key, acq)
+			if class, acq, rel := lockClassOf(l.pkg, l.fnKey, m); acq || rel {
+				if visit != nil {
+					visit(m, f, class, acq)
+				}
+				if acq {
+					f = f.with(class)
+				} else {
+					f = f.without(class)
+				}
+				return false
 			}
 		}
+		if visit != nil {
+			visit(m, f, "", false)
+		}
 		return true
-	})
-}
-
-func (l *heldLattice) Transfer(n ast.Node, f heldFact) heldFact {
-	l.lockCalls(n, func(_ *ast.CallExpr, key string, acquire bool) {
-		g := make(heldFact, len(f)+1)
-		for k := range f {
-			g[k] = true
-		}
-		if acquire {
-			g[key] = true
-		} else {
-			delete(g, key)
-		}
-		f = g
 	})
 	return f
 }
 
-func (l *heldLattice) Refine(e Edge, f heldFact) (heldFact, bool) { return f, true }
-
-func (l *heldLattice) Join(a, b heldFact) heldFact {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	j := make(heldFact, len(a)+len(b))
-	for k := range a {
-		j[k] = true
-	}
-	for k := range b {
-		j[k] = true
-	}
-	return j
-}
-
-func (l *heldLattice) Equal(a, b heldFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// lockFuncKey names a function across packages by path, receiver, and
-// name. String identity deliberately: the loader type-checks each package
-// in its own full pass, so *types.Func pointers for the same function
-// differ between the defining package's load and an importer's load.
-func lockFuncKey(fn *types.Func) string {
-	if r := recvNamed(fn); r != nil {
-		return funcPkgPath(fn) + "." + r.Obj().Name() + "." + fn.Name()
-	}
-	return funcPkgPath(fn) + "." + fn.Name()
+// walkHeld runs the may-held analysis over one function and replays it,
+// calling visit as step describes for every node of every reachable
+// block.
+func walkHeld(n *CGNode, visit func(m ast.Node, held nameSet, class string, acquire bool)) {
+	lat := &heldLattice{pkg: n.Pkg, fnKey: n.Key}
+	ForwardVisit[nameSet](BuildCFG(n.Decl.Body), lat, func(m ast.Node, before nameSet) {
+		lat.step(m, before, visit)
+	})
 }
 
 // lockScan is the per-function summary feeding the module fixpoint.
 type lockScan struct {
-	direct map[string]bool // lock classes acquired in the body itself
+	// acquires are direct acquisitions with the may-held set before them.
+	acquires []lockAcq
 	// calls are static calls to module functions with the may-held set at
 	// the call site; the callee's transitive acquires become edges.
 	calls []lockCall
-	// acquires are direct acquisitions with the may-held set before them.
-	acquires []lockAcq
 }
 
 type lockCall struct {
@@ -198,73 +141,33 @@ type lockAcq struct {
 	pos  token.Position
 }
 
-func sortedHeld(f heldFact) []string {
-	if len(f) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(f))
-	for k := range f {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func runLockorder(pkgs []*Package) []Finding {
+func runLockorder(pkgs []*Package, cg *CallGraph) []Finding {
 	if len(pkgs) == 0 {
 		return nil
 	}
 	mod := pkgs[0].ModulePath
-	inModule := func(path string) bool { return inModulePath(path, mod) }
 
 	// Pass 1: scan every function body into a summary.
 	scans := map[string]*lockScan{}
-	var order []string // deterministic fixpoint and reporting order
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				key := lockFuncKey(fn)
-				sc := scanLockFunc(pkg, fd, inModule)
-				if sc != nil {
-					scans[key] = sc
-					order = append(order, key)
-				}
-			}
+	for _, n := range cg.funcs {
+		if sc := scanLockFunc(n, mod); sc != nil {
+			scans[n.Key] = sc
 		}
 	}
-	sort.Strings(order)
 
-	// Pass 2: transitive acquire sets to fixpoint over the call graph.
-	trans := make(map[string]map[string]bool, len(scans))
+	// Pass 2: transitive acquire sets, closed over the static calls.
+	trans := make(map[string]nameSet, len(scans))
+	callees := map[string][]string{}
 	for key, sc := range scans {
-		t := make(map[string]bool, len(sc.direct))
-		for k := range sc.direct {
-			t[k] = true
+		trans[key] = nameSet{}
+		for _, a := range sc.acquires {
+			trans[key][a.key] = true
 		}
-		trans[key] = t
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, key := range order {
-			t := trans[key]
-			for _, c := range scans[key].calls {
-				for k := range trans[c.callee] {
-					if !t[k] {
-						t[k] = true
-						changed = true
-					}
-				}
-			}
+		for _, c := range sc.calls {
+			callees[key] = append(callees[key], c.callee)
 		}
 	}
+	closeSets(trans, callees)
 
 	// Pass 3: edges. held × direct-acquire and held × callee-transitive.
 	type lockEdge struct{ from, to string }
@@ -275,8 +178,7 @@ func runLockorder(pkgs []*Package) []Finding {
 			edges[e] = pos
 		}
 	}
-	for _, key := range order {
-		sc := scans[key]
+	for _, sc := range scans {
 		for _, a := range sc.acquires {
 			for _, h := range a.held {
 				addEdge(h, a.key, a.pos)
@@ -336,35 +238,19 @@ func runLockorder(pkgs []*Package) []Finding {
 
 // scanLockFunc summarizes one function body; nil when the body neither
 // touches locks nor calls module functions (keeps the fixpoint small).
-func scanLockFunc(pkg *Package, fd *ast.FuncDecl, inModule func(string) bool) *lockScan {
-	sc := &lockScan{direct: map[string]bool{}}
-	lat := &heldLattice{pkg: pkg, funcName: fd.Name.Name}
-	g := BuildCFG(fd.Body)
-	ForwardVisit[heldFact](g, lat, func(n ast.Node, before heldFact) {
-		// Replay the node's lock calls and module calls in source order,
-		// threading the held set through intra-node acquisitions.
-		f := before
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit, *ast.DeferStmt:
-				return false
-			case *ast.CallExpr:
-				if key, acq, rel := lockClassOf(pkg, fd.Name.Name, m); key != "" && (acq || rel) {
-					if acq {
-						sc.direct[key] = true
-						sc.acquires = append(sc.acquires, lockAcq{held: sortedHeld(f), key: key, pos: position(pkg, m)})
-					}
-					f = lat.Transfer(&ast.ExprStmt{X: m}, f)
-					return false
-				}
-				if fn := calleeFunc(pkg, m); fn != nil && inModule(funcPkgPath(fn)) {
-					sc.calls = append(sc.calls, lockCall{held: sortedHeld(f), callee: lockFuncKey(fn), pos: position(pkg, m)})
-				}
+func scanLockFunc(n *CGNode, mod string) *lockScan {
+	sc := &lockScan{}
+	walkHeld(n, func(m ast.Node, held nameSet, class string, acquire bool) {
+		if acquire {
+			sc.acquires = append(sc.acquires, lockAcq{held: held.sorted(), key: class, pos: position(n.Pkg, m)})
+		}
+		if call, ok := m.(*ast.CallExpr); ok && class == "" {
+			if fn := calleeFunc(n.Pkg, call); fn != nil && inModulePath(funcPkgPath(fn), mod) {
+				sc.calls = append(sc.calls, lockCall{held: held.sorted(), callee: funcKey(fn), pos: position(n.Pkg, m)})
 			}
-			return true
-		})
+		}
 	})
-	if len(sc.direct) == 0 && len(sc.calls) == 0 {
+	if len(sc.acquires) == 0 && len(sc.calls) == 0 {
 		return nil
 	}
 	return sc

@@ -165,3 +165,30 @@ func ba() {
 `)
 	wantFindings(t, got, "lockorder", "lock order cycle")
 }
+
+func TestLockorderLocalMutexClassesAreScopedByFullFuncKey(t *testing.T) {
+	got := checkFixture(t, LockorderAnalyzer, "repro/fixture/lk", "lk.go", `
+package lk
+
+import "sync"
+
+type A struct{}
+type B struct{}
+
+// Two methods named f, each with its own local mutex: the classes are
+// lk.A.f#mu and lk.B.f#mu, so nesting one under the other is no cycle.
+func (A) f() {
+	var mu sync.Mutex
+	mu.Lock()
+	B{}.f()
+	mu.Unlock()
+}
+
+func (B) f() {
+	var mu sync.Mutex
+	mu.Lock()
+	mu.Unlock()
+}
+`)
+	wantFindings(t, got, "lockorder")
+}

@@ -69,7 +69,7 @@ var ObsexhaustAnalyzer = &Analyzer{
 	RunModule: runObsexhaust,
 }
 
-func runObsexhaust(pkgs []*Package) []Finding {
+func runObsexhaust(pkgs []*Package, _ *CallGraph) []Finding {
 	return CheckObsExhaust(pkgs, DefaultObsSpec(), DefaultFSMSpecs())
 }
 

@@ -237,7 +237,7 @@ func TestObsexhaustRealModule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadAll: %v", err)
 	}
-	if got := runObsexhaust(pkgs); len(got) != 0 {
+	if got := runObsexhaust(pkgs, nil); len(got) != 0 {
 		t.Fatalf("obsexhaust findings on the real module:\n%v", got)
 	}
 }

@@ -51,11 +51,7 @@ var taintSinkMethods = map[string]bool{
 
 // isModuleLocalNamed reports whether n is defined inside the module.
 func isModuleLocalNamed(n *types.Named, mod string) bool {
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	p := n.Obj().Pkg().Path()
-	return p == mod || len(p) > len(mod) && p[:len(mod)] == mod && p[len(mod)] == '/'
+	return n != nil && n.Obj() != nil && n.Obj().Pkg() != nil && inModulePath(n.Obj().Pkg().Path(), mod)
 }
 
 // isTrackedPacketType reports whether t carries packet data the analysis
@@ -75,26 +71,20 @@ func isTrackedPacketType(t types.Type, mod string) bool {
 	return false
 }
 
-// taintFact is the set of tainted packet-carrying identifiers in scope.
-type taintFact map[string]bool
-
+// taintLattice tracks the packet-carrying identifiers that may be
+// tainted; entry holds the tainted parameters.
 type taintLattice struct {
+	mayLattice
 	pkg   *Package
 	mod   string
-	entry taintFact
+	entry nameSet
 }
 
-func (l *taintLattice) Entry() taintFact {
-	e := make(taintFact, len(l.entry))
-	for k := range l.entry {
-		e[k] = true
-	}
-	return e
-}
+func (l *taintLattice) Entry() nameSet { return l.entry }
 
 // exprTaints reports whether evaluating e can yield tainted packet data:
 // some identifier of e is tainted.
-func exprTaints(f taintFact, e ast.Expr) bool {
+func exprTaints(f nameSet, e ast.Expr) bool {
 	if len(f) == 0 {
 		return false
 	}
@@ -108,79 +98,60 @@ func exprTaints(f taintFact, e ast.Expr) bool {
 	return found
 }
 
-// sanitizeTargets returns the identifiers whose taint the call clears:
-// the receiver of Packet.RewriteTuple, or the first packet argument of a
+// sanitize clears the taint of the identifier the call translates: the
+// receiver of Packet.RewriteTuple, or the first packet argument of a
 // module function named applyIngress/applyEgress.
-func sanitizeTargets(pkg *Package, mod string, call *ast.CallExpr) []*ast.Ident {
+func sanitize(pkg *Package, mod string, call *ast.CallExpr, f nameSet) nameSet {
 	fn := calleeFunc(pkg, call)
 	if fn == nil {
-		return nil
+		return f
 	}
 	switch fn.Name() {
 	case "RewriteTuple":
 		if r := recvNamed(fn); r != nil && r.Obj().Name() == "Packet" && isModuleLocalNamed(r, mod) {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-					return []*ast.Ident{id}
+					return f.without(id.Name)
 				}
 			}
 		}
 	case "applyIngress", "applyEgress":
 		if !inModulePath(funcPkgPath(fn), mod) {
-			return nil
+			return f
 		}
 		for _, arg := range call.Args {
 			if tv, ok := pkg.Info.Types[arg]; ok && isTrackedPacketType(tv.Type, mod) {
 				if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-					return []*ast.Ident{id}
+					return f.without(id.Name)
 				}
-				return nil
+				return f
 			}
 		}
 	}
-	return nil
+	return f
 }
 
-// applyCallEffects threads sanitizer calls through a fact in source order.
-func (l *taintLattice) applyCallEffects(n ast.Node, f taintFact) taintFact {
+// applyCallEffects threads sanitizer calls through a fact in source order,
+// outside function literals and deferred calls. visit, when non-nil, sees
+// every such call with the fact just before it.
+func (l *taintLattice) applyCallEffects(n ast.Node, f nameSet, visit func(call *ast.CallExpr, f nameSet)) nameSet {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			for _, id := range sanitizeTargets(l.pkg, l.mod, m) {
-				if f[id.Name] {
-					g := make(taintFact, len(f))
-					for k := range f {
-						g[k] = true
-					}
-					delete(g, id.Name)
-					f = g
-				}
+			if visit != nil {
+				visit(m, f)
 			}
+			f = sanitize(l.pkg, l.mod, m, f)
 		}
 		return true
 	})
 	return f
 }
 
-func (l *taintLattice) Transfer(n ast.Node, f taintFact) taintFact {
-	f = l.applyCallEffects(n, f)
-	set := func(id *ast.Ident, tainted bool) {
-		if f[id.Name] == tainted {
-			return
-		}
-		g := make(taintFact, len(f)+1)
-		for k := range f {
-			g[k] = true
-		}
-		if tainted {
-			g[id.Name] = true
-		} else {
-			delete(g, id.Name)
-		}
-		f = g
-	}
+func (l *taintLattice) Transfer(n ast.Node, f nameSet) nameSet {
+	f = l.applyCallEffects(n, f, nil)
 	assign := func(lhs, rhs ast.Expr) {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -197,7 +168,11 @@ func (l *taintLattice) Transfer(n ast.Node, f taintFact) taintFact {
 		if typ == nil || !isTrackedPacketType(typ, l.mod) {
 			return
 		}
-		set(id, rhs != nil && exprTaints(f, rhs))
+		if rhs != nil && exprTaints(f, rhs) {
+			f = f.with(id.Name)
+		} else {
+			f = f.without(id.Name)
+		}
 	}
 	switch n := n.(type) {
 	case *ast.AssignStmt:
@@ -222,66 +197,17 @@ func (l *taintLattice) Transfer(n ast.Node, f taintFact) taintFact {
 	return f
 }
 
-func (l *taintLattice) Refine(e Edge, f taintFact) (taintFact, bool) { return f, true }
-
-func (l *taintLattice) Join(a, b taintFact) taintFact {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	j := make(taintFact, len(a)+len(b))
-	for k := range a {
-		j[k] = true
-	}
-	for k := range b {
-		j[k] = true
-	}
-	return j
-}
-
-func (l *taintLattice) Equal(a, b taintFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // taintWork is one (function, tainted-parameter-mask) analysis obligation.
 type taintWork struct {
 	key  string
 	mask uint64
 }
 
-func runRewritetaint(pkgs []*Package) []Finding {
+func runRewritetaint(pkgs []*Package, cg *CallGraph) []Finding {
 	if len(pkgs) == 0 {
 		return nil
 	}
 	mod := pkgs[0].ModulePath
-
-	// Index of module function declarations by cross-package string key.
-	type fnInfo struct {
-		pkg  *Package
-		decl *ast.FuncDecl
-	}
-	index := map[string]fnInfo{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						index[lockFuncKey(fn)] = fnInfo{pkg: pkg, decl: fd}
-					}
-				}
-			}
-		}
-	}
 
 	// Roots. Literal roots are analyzed in place; named roots enter the
 	// interprocedural worklist with their first packet parameter tainted.
@@ -294,20 +220,18 @@ func runRewritetaint(pkgs []*Package) []Finding {
 		taintedMask[key] |= mask
 		queue = append(queue, taintWork{key: key, mask: taintedMask[key]})
 	}
-	firstPacketParamMask := func(pkg *Package, ft *ast.FuncType) uint64 {
-		pos := 0
-		for _, field := range ft.Params.List {
-			n := len(field.Names)
-			if n == 0 {
-				n = 1
+	firstPacketParamMask := func(sig *types.Signature) uint64 {
+		for i := 0; i < sig.Params().Len() && i < 64; i++ {
+			if isTrackedPacketType(sig.Params().At(i).Type(), mod) {
+				return 1 << uint(i)
 			}
-			tv, ok := pkg.Info.Types[field.Type]
-			if ok && isTrackedPacketType(tv.Type, mod) {
-				return 1 << uint(pos)
-			}
-			pos += n
 		}
 		return 0
+	}
+	enqueueRoot := func(fn *types.Func) {
+		if n := cg.Nodes[funcKey(fn)]; n != nil {
+			enqueue(n.Key, firstPacketParamMask(n.sig()))
+		}
 	}
 	type litRoot struct {
 		pkg *Package
@@ -332,9 +256,7 @@ func runRewritetaint(pkgs []*Package) []Finding {
 				return
 			}
 			if fn, ok := obj.(*types.Func); ok {
-				if info, ok := index[lockFuncKey(fn)]; ok {
-					enqueue(lockFuncKey(fn), firstPacketParamMask(info.pkg, info.decl.Type))
-				}
+				enqueueRoot(fn)
 				return
 			}
 			// hook := func(...){...}; AddIngressHook(hook): find the
@@ -360,9 +282,7 @@ func runRewritetaint(pkgs []*Package) []Finding {
 		case *ast.SelectorExpr:
 			if sel, ok := pkg.Info.Selections[a]; ok {
 				if fn, ok := sel.Obj().(*types.Func); ok {
-					if info, ok := index[lockFuncKey(fn)]; ok {
-						enqueue(lockFuncKey(fn), firstPacketParamMask(info.pkg, info.decl.Type))
-					}
+					enqueueRoot(fn)
 				}
 			}
 		}
@@ -384,13 +304,11 @@ func runRewritetaint(pkgs []*Package) []Finding {
 				resolveHookArg(pkg, file, call.Args[0])
 				return true
 			})
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && fd.Name.Name == "ingressHook" {
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						enqueue(lockFuncKey(fn), firstPacketParamMask(pkg, fd.Type))
-					}
-				}
-			}
+		}
+	}
+	for _, n := range cg.funcs {
+		if n.Decl.Name.Name == "ingressHook" {
+			enqueue(n.Key, firstPacketParamMask(n.sig()))
 		}
 	}
 
@@ -406,80 +324,53 @@ func runRewritetaint(pkgs []*Package) []Finding {
 		}
 	}
 	analyzed := map[string]uint64{}
-	analyze := func(pkg *Package, name string, ft *ast.FuncType, body *ast.BlockStmt, mask uint64) {
-		entry := taintFact{}
-		pos := 0
-		for _, field := range ft.Params.List {
-			names := field.Names
-			if len(names) == 0 {
-				pos++
-				continue
-			}
-			for _, id := range names {
-				if mask&(1<<uint(pos)) != 0 && id.Name != "_" {
-					entry[id.Name] = true
-				}
-				pos++
+	analyze := func(pkg *Package, name string, sig *types.Signature, body *ast.BlockStmt, mask uint64) {
+		entry := nameSet{}
+		for i := 0; i < sig.Params().Len() && i < 64; i++ {
+			if p := sig.Params().At(i).Name(); mask&(1<<uint(i)) != 0 && p != "" && p != "_" {
+				entry[p] = true
 			}
 		}
 		lat := &taintLattice{pkg: pkg, mod: mod, entry: entry}
-		g := BuildCFG(body)
-		ForwardVisit[taintFact](g, lat, func(n ast.Node, before taintFact) {
-			f := before
-			ast.Inspect(n, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.FuncLit, *ast.DeferStmt:
-					return false
-				case *ast.CallExpr:
-					fn := calleeFunc(pkg, m)
-					if fn != nil && taintSinkMethods[fn.Name()] {
-						if r := recvNamed(fn); r != nil && r.Obj().Name() == "Host" && isModuleLocalNamed(r, mod) {
-							for _, arg := range m.Args {
-								tv, ok := pkg.Info.Types[arg]
-								if ok && isTrackedPacketType(tv.Type, mod) && exprTaints(f, arg) {
-									record(Finding{
-										Rule: "rewritetaint",
-										Pos:  position(pkg, m),
-										Msg: fmt.Sprintf("untranslated packet reaches Host.%s in %s: the five-tuple and seq/ack are still in the neighboring subsession's space; translate via RewriteTuple or applyIngress/applyEgress first",
-											fn.Name(), name),
-									})
-								}
-							}
-						}
-					}
-					// Propagate taint into statically-resolved module callees.
-					if fn != nil {
-						if _, ok := index[lockFuncKey(fn)]; ok {
-							var cm uint64
-							for i, arg := range m.Args {
-								if i >= 64 {
-									break
-								}
-								tv, ok := pkg.Info.Types[arg]
-								if ok && isTrackedPacketType(tv.Type, mod) && exprTaints(f, arg) {
-									cm |= 1 << uint(i)
-								}
-							}
-							enqueue(lockFuncKey(fn), cm)
-						}
-					}
-					for _, id := range sanitizeTargets(pkg, mod, m) {
-						if f[id.Name] {
-							g := make(taintFact, len(f))
-							for k := range f {
-								g[k] = true
-							}
-							delete(g, id.Name)
-							f = g
+		ForwardVisit[nameSet](BuildCFG(body), lat, func(n ast.Node, before nameSet) {
+			lat.applyCallEffects(n, before, func(m *ast.CallExpr, f nameSet) {
+				fn := calleeFunc(pkg, m)
+				if fn == nil {
+					return
+				}
+				if r := recvNamed(fn); taintSinkMethods[fn.Name()] && r != nil && r.Obj().Name() == "Host" && isModuleLocalNamed(r, mod) {
+					for _, arg := range m.Args {
+						tv, ok := pkg.Info.Types[arg]
+						if ok && isTrackedPacketType(tv.Type, mod) && exprTaints(f, arg) {
+							record(Finding{
+								Rule: "rewritetaint",
+								Pos:  position(pkg, m),
+								Msg: fmt.Sprintf("untranslated packet reaches Host.%s in %s: the five-tuple and seq/ack are still in the neighboring subsession's space; translate via RewriteTuple or applyIngress/applyEgress first",
+									fn.Name(), name),
+							})
 						}
 					}
 				}
-				return true
+				// Propagate taint into statically-resolved module callees.
+				if cg.Nodes[funcKey(fn)] != nil {
+					var cm uint64
+					for i, arg := range m.Args {
+						if i >= 64 {
+							break
+						}
+						tv, ok := pkg.Info.Types[arg]
+						if ok && isTrackedPacketType(tv.Type, mod) && exprTaints(f, arg) {
+							cm |= 1 << uint(i)
+						}
+					}
+					enqueue(funcKey(fn), cm)
+				}
 			})
 		})
 	}
 	for _, lr := range litRoots {
-		analyze(lr.pkg, "ingress hook literal", lr.lit.Type, lr.lit.Body, firstPacketParamMask(lr.pkg, lr.lit.Type))
+		sig := lr.pkg.Info.Types[lr.lit].Type.(*types.Signature)
+		analyze(lr.pkg, "ingress hook literal", sig, lr.lit.Body, firstPacketParamMask(sig))
 	}
 	for len(queue) > 0 {
 		w := queue[0]
@@ -488,11 +379,8 @@ func runRewritetaint(pkgs []*Package) []Finding {
 			continue
 		}
 		analyzed[w.key] = taintedMask[w.key]
-		info, ok := index[w.key]
-		if !ok {
-			continue
-		}
-		analyze(info.pkg, w.key, info.decl.Type, info.decl.Body, taintedMask[w.key])
+		n := cg.Nodes[w.key]
+		analyze(n.Pkg, w.key, n.sig(), n.Decl.Body, taintedMask[w.key])
 	}
 	sort.Slice(out, func(i, j int) bool { return posLess(out[i].Pos, out[j].Pos) })
 	return out

@@ -38,9 +38,6 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel was called before the event fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-// When returns the virtual time at which the event fires (or fired).
-func (e *Event) When() Time { return e.at }
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }

@@ -100,9 +100,6 @@ func NewController() *Controller { return &Controller{} }
 // AddSwitch registers a switch with the controller.
 func (c *Controller) AddSwitch(sw *Switch) { c.switches = append(c.switches, sw) }
 
-// Switches returns the registered switches.
-func (c *Controller) Switches() []*Switch { return c.switches }
-
 // switchAt finds the switch on a host address.
 func (c *Controller) switchAt(a packet.Addr) *Switch {
 	for _, sw := range c.switches {

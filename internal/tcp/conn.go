@@ -101,7 +101,7 @@ type Conn struct {
 	tsOK      bool
 	tsRecent  uint32
 
-	// RTT estimation (unexported; see SRTT/RTO accessors).
+	// RTT estimation (unexported; see the RTO accessor).
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	hasRTT       bool
@@ -160,12 +160,6 @@ func (c *Conn) Tuple() packet.FiveTuple { return c.tuple }
 
 // State returns the current TCP state.
 func (c *Conn) State() State { return c.state }
-
-// ISS and IRS return the initial send/receive sequence numbers.
-func (c *Conn) ISS() uint32 { return c.iss }
-
-// IRS returns the initial receive sequence number.
-func (c *Conn) IRS() uint32 { return c.irs }
 
 // SndNxt returns the next sequence number to be sent.
 func (c *Conn) SndNxt() uint32 { return c.sndNxt }

@@ -297,9 +297,6 @@ func (c *Conn) sampleRTT(ack uint32, p *packet.Packet) {
 	}
 }
 
-// SRTT returns the smoothed RTT estimate (0 until measured).
-func (c *Conn) SRTT() sim.Time { return c.srtt }
-
 // RTO returns the current retransmission timeout.
 func (c *Conn) RTO() sim.Time { return c.rto }
 

@@ -141,9 +141,6 @@ func (s *Stack) Listen(port packet.Port, onAccept func(*Conn)) {
 	s.listeners[port] = onAccept
 }
 
-// Unlisten removes a listener.
-func (s *Stack) Unlisten(port packet.Port) { delete(s.listeners, port) }
-
 // allocPort returns an unused ephemeral port.
 func (s *Stack) allocPort() packet.Port {
 	for i := 0; i < 65536; i++ {

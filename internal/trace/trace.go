@@ -54,9 +54,6 @@ type Filter func(p *packet.Packet) bool
 // TCPOnly matches TCP packets.
 func TCPOnly(p *packet.Packet) bool { return p.IsTCP() }
 
-// UDPOnly matches UDP packets.
-func UDPOnly(p *packet.Packet) bool { return p.IsUDP() }
-
 // Port matches packets with the given source or destination port.
 func Port(port packet.Port) Filter {
 	return func(p *packet.Packet) bool {
